@@ -22,7 +22,11 @@ from coreval.lawfit import synth_zipf_stream
 CONDITIONS = ("cooperative", "competitive", "neutral")
 ZIPF_ALPHA = 1.1
 ZIPF_VOCAB = 5000
-BLOB_NOISE = 0.02  # per-dimension std around a centre whose entries are N(0, 1)
+# Per-dimension std around a centre whose entries are N(0, 1).  coreval runs
+# one k-means++ start per K, which puts two centres into one blob with a
+# chance that grows with the blobs' spread: about 1 start in 260 at 0.02,
+# none in 20,000 at 0.001.  Such a start makes the planted-truth check fail.
+BLOB_NOISE = 0.001
 AGENT_A = "agent1"
 AGENT_B = "agent2"
 

@@ -121,7 +121,7 @@ def run_workload(bench: dict, workload: str, seed: int, seconds: float,
         setup = [] if trace else measure_setup(env)  # traced runs report no setup_s
         argv = [sys.executable, str(HERE / "worker.py"), "--workload", workload,
                 "--seed", str(seed), "--seconds", str(seconds),
-                "--trace", str(trace), "--threads", str(min(2, nproc))]
+                "--trace", str(trace)]
         if workload == "endpoints-mock":
             mock, url = start_mock(env)
             argv += ["--mock", url]

@@ -56,6 +56,11 @@ CLUSTER_KMAX = 10  # coreval's default --kmax, the entropy normalizer
 GEN_DIALOGS = 30
 GEN_TURNS = 10
 EMBED_BATCH = 32
+# Client threads on endpoints-mock.  With one, the client and the mock take
+# turns, so the pair needs one core at a time.  With two client threads plus
+# the mock's, a 2-core machine's pass times tracked the host's CPU steal
+# (26% steal made passes 70% slower).
+CLIENT_THREADS = 1
 FACTORS = ("entropy_term", "repetition_ratio", "repetition_term", "stagnation_term", "core")
 
 
@@ -230,7 +235,7 @@ def sweep_small() -> tuple[list[Step], dict]:
     return steps, {}
 
 
-def endpoints_mock(url: str, seed: int, threads: int) -> tuple[list[Step], dict]:
+def endpoints_mock(url: str, seed: int) -> tuple[list[Step], dict]:
     generated = [OUT / f"generated_{c}.jsonl" for c in CONDITIONS]
 
     def dialogs() -> list[dict]:
@@ -241,7 +246,8 @@ def endpoints_mock(url: str, seed: int, threads: int) -> tuple[list[Step], dict]
         return cli("generate", "--endpoint-a", f"{url}/a", "--endpoint-b", f"{url}/b",
                    "--model-a", "agent1", "--model-b", "agent2", "--condition", condition,
                    "--dialogs", str(GEN_DIALOGS), "--turns", str(GEN_TURNS),
-                   "--threads", str(threads), "--request-seed", str(seed), "--out", str(path))
+                   "--threads", str(CLIENT_THREADS), "--request-seed", str(seed),
+                   "--out", str(path))
 
     def expected_toxicity() -> dict[str, float]:
         return {d["id"]: mockserver.toxicity_score(" ".join(t["text"] for t in d["turns"]))
@@ -250,7 +256,7 @@ def endpoints_mock(url: str, seed: int, threads: int) -> tuple[list[Step], dict]
     def fetch() -> None:
         corpus = parse_corpus(json.dumps(d) for d in dialogs())
         matrix = coreval.embeddings.fetch_embeddings(f"{url}/embed", corpus, EMBED_BATCH,
-                                                     max_inflight=threads)
+                                                     max_inflight=CLIENT_THREADS)
         save_embeddings(matrix, str(OUT / "embeddings.jsonl"))
 
     def check_fetch() -> list[str]:
@@ -397,11 +403,10 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--mock", default=None, help="mock endpoint base URL")
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
     if args.workload == "endpoints-mock":
-        steps, extra = endpoints_mock(args.mock, args.seed, args.threads)
+        steps, extra = endpoints_mock(args.mock, args.seed)
     else:
         steps, extra = {"analyze-paper": analyze_paper,
                         "sweep-small": sweep_small}[args.workload]()
