@@ -1,15 +1,20 @@
 """Clustering and entropy tests: blob oracles, determinism, invariances."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from coreval import modes
+from coreval.corpus import Corpus, parse_corpus
+from coreval.embeddings import load_embeddings
 from coreval.modes import (
     ModeAssignment, ModeDistribution, cluster_modes, entropy, mode_distribution,
     normalized_entropy,
 )
-from conftest import adjusted_rand_index
+from conftest import DATA_DIR, adjusted_rand_index
 
 
 def gaussian_blobs(rng, centers, n_per, sigma=0.01):
@@ -19,6 +24,59 @@ def gaussian_blobs(rng, centers, n_per, sigma=0.01):
         points.append(center + rng.normal(size=(n_per, len(center))) * sigma)
         labels.extend([i] * n_per)
     return np.vstack(points), np.array(labels)
+
+
+def loop_silhouette(dist, labels, k) -> float:
+    """Per-point silhouette loop: the reference for the vectorized form."""
+    n = dist.shape[0]
+    sizes = np.bincount(labels, minlength=k)
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels[i]
+        if sizes[own] <= 1:
+            continue
+        a = dist[i, labels == own].sum() / (sizes[own] - 1)
+        b = math.inf
+        for j in range(k):
+            if j == own or sizes[j] == 0:
+                continue
+            b = min(b, dist[i, labels == j].mean())
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def blob_sets():
+    """The point sets the clustering tests below run on, plus the fixture's
+    embeddings and their condition subsets, as (name, points, k_max)."""
+    sets = []
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
+    sets.append(("three_blobs", gaussian_blobs(rng, centers, 50)[0], 10))
+    sets.append(("normal_40x5", np.random.default_rng(1).normal(size=(40, 5)), 6))
+    rng = np.random.default_rng(2)
+    for trial in range(10):
+        sets.append((f"normal_{trial}", rng.normal(size=(rng.integers(4, 25), 3)), 10))
+    sets.append(("two_distinct", np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]]), 10))
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 1024, size=(30, 4)).astype(np.float64) / 1024.0
+    base[:10] += 8.0
+    base[10:20] += 16.0
+    sets += [("quantized", base, 6), ("quantized_shifted", base + 1024.0, 6)]
+    rng = np.random.default_rng(6)
+    points, _ = gaussian_blobs(rng, np.array([[0.0, 0.0], [12.0, 0.0], [0.0, 12.0]]), 20)
+    sets += [("blobs_60", points, 8), ("blobs_doubled", np.vstack([points, points]), 8)]
+    rng = np.random.default_rng(7)
+    for k_true in (2, 4, 5):
+        sets.append((f"eye_{k_true}", gaussian_blobs(rng, np.eye(k_true) * 20.0, 25)[0], 10))
+    with open(DATA_DIR / "fixture_corpus.jsonl", "rb") as fh:
+        corpus = parse_corpus(fh)
+    matrix = load_embeddings(DATA_DIR / "fixture_embeddings.jsonl", corpus)
+    sets.append(("fixture", matrix.rows, 10))
+    for condition in sorted({d.condition for d in corpus.dialogs}):
+        sub = Corpus(dialogs=tuple(d for d in corpus.dialogs if d.condition == condition))
+        sets.append((f"fixture_{condition}", matrix.subset(sub).rows, 10))
+    return sets
 
 
 def assignment_from_labels(labels) -> ModeAssignment:
@@ -175,3 +233,72 @@ class TestClusterQuality:
             assignment = cluster_modes(points, k_max=10, seed=42)
             assert assignment.k == k_true
             assert adjusted_rand_index(assignment.labels, truth) == 1.0
+
+
+class TestSilhouette:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            n = int(rng.integers(3, 301))
+            k = int(rng.integers(2, min(n, 10) + 1))
+            if trial % 3 == 0:  # repeated rows make zero distances and zero denominators
+                pool = rng.normal(size=(int(rng.integers(1, 6)), 3))
+                points = pool[rng.integers(0, len(pool), n)]
+            else:
+                points = rng.normal(size=(n, int(rng.integers(1, 9)))) * rng.random() * 10
+            # lopsided sizes over clusters 0..k-2, then one singleton in cluster k-1
+            weights = rng.dirichlet(np.full(k - 1, 0.3))
+            labels = rng.choice(k - 1, size=n, p=weights)
+            labels[int(rng.integers(n))] = k - 1
+            k_arg = k + int(rng.integers(0, 2))  # sometimes a trailing empty cluster id
+            dist = cdist(points, points)
+            fast = modes._mean_silhouette(dist, labels, k_arg)
+            assert abs(fast - loop_silhouette(dist, labels, k_arg)) <= 1e-12, (trial, n, k)
+
+    @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
+    def test_selection_matches_loop_oracle(self, monkeypatch, points, k_max):
+        fast = cluster_modes(points, k_max=k_max, seed=42)
+        monkeypatch.setattr(modes, "_mean_silhouette", loop_silhouette)
+        slow = cluster_modes(points, k_max=k_max, seed=42)
+        assert fast.k == slow.k
+        assert np.array_equal(fast.labels, slow.labels)
+
+    def test_one_pairwise_matrix_per_call(self, monkeypatch):
+        shapes = []
+        real = modes.cdist
+
+        def counting(xa, xb, *args, **kwargs):
+            shapes.append((len(xa), len(xb)))
+            return real(xa, xb, *args, **kwargs)
+
+        monkeypatch.setattr(modes, "cdist", counting)
+        for _, points, k_max in blob_sets():
+            n = len(points)
+            shapes.clear()
+            cluster_modes(points, k_max=k_max, seed=42)
+            if min(k_max, len(np.unique(points, axis=0))) < n:  # then K < n: no k-means call is n x n
+                assert shapes.count((n, n)) == 1
+        shapes.clear()
+        assignment = cluster_modes(np.tile([1.0, 2.0], (12, 1)), k_max=5, seed=42)
+        assert assignment.k == 1
+        assert shapes == []
+
+
+class TestLloyd:
+    def test_far_from_origin_clusters(self):
+        # inertia near 1e10 carries rounding far above any fixed absolute tolerance
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            points = 1e7 + rng.normal(size=(60, 3)) * 1e4
+            assignment = cluster_modes(points, k_max=10, seed=seed)
+            assert set(assignment.labels.tolist()) == set(range(assignment.k))
+
+    def test_inertia_increase_raises(self, monkeypatch):
+        # a uniform, growing offset keeps every argmin but raises the inertia each iteration
+        real = modes.cdist
+        calls = itertools.count(1)
+        monkeypatch.setattr(modes, "cdist",
+                            lambda xa, xb, **kw: real(xa, xb, **kw) + 1e3 * next(calls))
+        points = np.random.default_rng(9).normal(size=(20, 2))
+        with pytest.raises(RuntimeError, match="inertia increased"):
+            modes._lloyd(points, points[:2].copy())
