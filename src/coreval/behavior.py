@@ -9,14 +9,13 @@ optional and comes from an external classifier endpoint.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 from ._http import EndpointError, post_json
-from .corpus import Dialog, NgramTable, tokenize
+from .corpus import Dialog, NgramTable, ngram_counts, tokenize
 from .metric import repeated_fraction
 
 logger = logging.getLogger(__name__)
@@ -124,9 +123,7 @@ def repetition_rate(tokens: Sequence[str], n: int) -> float:
         logger.warning("dialog has %d tokens, fewer than n=%d; repetition_rate set to 0",
                        len(tokens), n)
         return 0.0
-    counts = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    table = NgramTable(n=n, counts=dict(counts), total_occurrences=sum(counts.values()))
-    return repeated_fraction(table)
+    return repeated_fraction(NgramTable.from_counts(n, ngram_counts(tokens, n)))
 
 
 def sentiment(text: str, lexicon: dict[str, float] | None = None) -> float:

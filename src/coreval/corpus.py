@@ -13,7 +13,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,6 +161,10 @@ class NgramTable:
     counts: dict[tuple[str, ...], int]
     total_occurrences: int
 
+    @classmethod
+    def from_counts(cls, n: int, counts: dict[tuple[str, ...], int]) -> "NgramTable":
+        return cls(n=n, counts=dict(counts), total_occurrences=sum(counts.values()))
+
 
 def parse_corpus(stream: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) -> Corpus:
     """Parse dialog JSONL into a validated Corpus.
@@ -232,9 +236,8 @@ def write_corpus(corpus: Corpus, fh: IO[str]) -> None:
         fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def dialog_ngram_counts(dialog: Dialog, n: int) -> Counter:
-    """Sliding-window n-gram counts over one dialog's concatenated token stream."""
-    tokens = dialog.tokens()
+def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    """Sliding-window n-gram counts over one token stream (empty when shorter than n)."""
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
@@ -244,8 +247,8 @@ def extract_ngrams(corpus: Corpus, n: int) -> NgramTable:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     counts: Counter = Counter()
     for dialog in corpus.dialogs:
-        counts.update(dialog_ngram_counts(dialog, n))
-    return NgramTable(n=n, counts=dict(counts), total_occurrences=sum(counts.values()))
+        counts.update(ngram_counts(dialog.tokens(), n))
+    return NgramTable.from_counts(n, counts)
 
 
 def rank_frequency(corpus: Corpus) -> TokenStats:

@@ -45,17 +45,6 @@ class EmbeddingMatrix:
         if len(self._index) != len(self.keys):
             raise EmbeddingError("duplicate utterance key in embedding matrix")
 
-    @property
-    def dim(self) -> int:
-        return int(self.rows.shape[1])
-
-    def row(self, dialog_id: str, turn_index: int) -> np.ndarray:
-        return self.rows[self._index[(dialog_id, turn_index)]]
-
-    def dialog_rows(self, dialog_id: str, n_turns: int) -> np.ndarray:
-        idx = [self._index[(dialog_id, t)] for t in range(n_turns)]
-        return self.rows[idx]
-
     def subset(self, corpus: Corpus) -> "EmbeddingMatrix":
         """Re-align to another corpus whose utterances are a subset of this matrix."""
         keys = tuple(corpus.utterance_keys())
@@ -211,5 +200,8 @@ def dialog_stagnation(rows: np.ndarray) -> float:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] < 2:
         raise EmbeddingError("stagnation undefined for fewer than 2 utterances")
-    sims = [cosine(rows[j], rows[j + 1]) for j in range(rows.shape[0] - 1)]
-    return float(np.mean(sims))
+    norms = np.linalg.norm(rows, axis=1)
+    if (norms == 0.0).any():
+        raise EmbeddingError("cosine undefined for zero-norm vector")
+    unit = rows / norms[:, None]
+    return float(np.mean(np.einsum("ij,ij->i", unit[:-1], unit[1:])))

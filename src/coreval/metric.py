@@ -6,6 +6,14 @@ stagnation penalty clamp(1 - mean consecutive cosine, 0, 1)^beta.  The
 alpha/beta exponents default to the corpus's own fitted rank-frequency and
 vocabulary-growth exponents, so the score is calibrated against the
 corpus's typical statistical profile.
+
+``compute_core`` (one corpus) and ``core_per_dialog`` (each dialog under
+the corpus's modes and exponents) differ only in how they gather the
+inputs; one private helper, ``_breakdown``, turns an entropy term, an
+n-gram table and a raw stagnation into every ``CoreBreakdown``.  Besides
+the fit_fallback and degenerate_modes flags its callers pass in, that
+helper is the only place that sets empty_ngrams, stagnation_clamped and
+no_stagnation_pairs.
 """
 
 from __future__ import annotations
@@ -15,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Dialog, NgramTable, dialog_ngram_counts, extract_ngrams, \
+from .corpus import Corpus, Dialog, NgramTable, extract_ngrams, ngram_counts, \
     rank_frequency, vocab_growth
 from .embeddings import EmbeddingMatrix, dialog_stagnation
 from .lawfit import FitError, fit_heaps, fit_zipf
-from .modes import ModeAssignment, cluster_modes, mode_distribution, normalized_entropy
+from .modes import ModeAssignment, ModeDistribution, cluster_modes, mode_distribution, \
+    normalized_entropy
 
 # Diagnostic flags carried on a breakdown.  The first three are the primary
 # ones; empty_ngrams / no_stagnation_pairs mark inputs too short to measure
@@ -152,33 +161,12 @@ def _dialog_row_slices(corpus: Corpus) -> list[tuple[Dialog, slice]]:
     return slices
 
 
-def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
-                 assignment: ModeAssignment | None = None) -> CoreBreakdown:
-    """Corpus-level CORE breakdown.
-
-    Modes are clustered over all utterance embeddings (pass a precomputed
-    ``assignment`` to reuse one); repetition is measured on the pooled
-    per-dialog n-gram table; stagnation is the mean over dialogs with at
-    least two utterances.  Raises if the corpus has no tokens or no dialog
-    long enough for a stagnation pair.
-    """
-    _check_alignment(corpus, matrix)
-    if not any(True for _ in corpus.iter_tokens()):
-        raise ValueError("corpus has zero tokens")
-
-    flags: set[str] = set()
-    alpha, beta, fit_flags = resolve_exponents(corpus, config)
-    flags |= fit_flags
-
-    if assignment is None:
-        assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
-    if assignment.k == 1:
-        entropy_term = 0.0
-        flags.add(FLAG_DEGENERATE_MODES)
-    else:
-        entropy_term = normalized_entropy(mode_distribution(assignment), config.k_max)
-
-    table = extract_ngrams(corpus, config.ngram_n)
+def _breakdown(entropy_term: float, table: NgramTable, raw_stagnation: float | None,
+               alpha: float, beta: float, config: CoreConfig,
+               flags: set[str]) -> CoreBreakdown:
+    """Assemble one breakdown from its entropy term, n-gram table and raw
+    stagnation (None when the input has no consecutive utterance pair)."""
+    flags = set(flags)
     if table.total_occurrences == 0:
         ratio = 0.0
         rep_term = 1.0
@@ -187,23 +175,52 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
         ratio = repeated_fraction(table, config.repetition_counting)
         rep_term = repetition_penalty(ratio, alpha)
 
-    stags = []
-    for dialog, sl in _dialog_row_slices(corpus):
-        if len(dialog.utterances) >= 2:
-            stags.append(dialog_stagnation(matrix.rows[sl]))
-    if not stags:
-        raise ValueError("no dialog has >= 2 utterances; stagnation undefined")
-    raw_stagnation = float(np.mean(stags))
-    stag_term, was_clamped = stagnation_penalty(raw_stagnation, beta)
-    if was_clamped:
-        flags.add(FLAG_STAGNATION_CLAMPED)
+    if raw_stagnation is None:
+        raw_stagnation = 1.0
+        stag_term = 0.0
+        flags.add(FLAG_NO_STAGNATION_PAIRS)
+    else:
+        stag_term, was_clamped = stagnation_penalty(raw_stagnation, beta)
+        if was_clamped:
+            flags.add(FLAG_STAGNATION_CLAMPED)
 
-    core = entropy_term * rep_term * stag_term
     return CoreBreakdown(
         entropy_term=entropy_term, repetition_ratio=ratio, repetition_term=rep_term,
         raw_stagnation=raw_stagnation, stagnation_term=stag_term,
-        alpha_used=alpha, beta_used=beta, core=core, flags=frozenset(flags),
+        alpha_used=alpha, beta_used=beta, core=entropy_term * rep_term * stag_term,
+        flags=frozenset(flags),
     )
+
+
+def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
+                 assignment: ModeAssignment | None = None) -> CoreBreakdown:
+    """Corpus-level CORE breakdown.
+
+    Modes are clustered over all utterance embeddings (pass a precomputed
+    ``assignment`` to reuse one); repetition is measured on the pooled
+    per-dialog n-gram table; stagnation is the mean over dialogs with at
+    least two utterances.  Raises if the corpus has no tokens, no dialog
+    long enough for a stagnation pair, or an assignment with an empty
+    cluster id.
+    """
+    _check_alignment(corpus, matrix)
+    if not any(True for _ in corpus.iter_tokens()):
+        raise ValueError("corpus has zero tokens")
+
+    alpha, beta, fit_flags = resolve_exponents(corpus, config)
+    flags = set(fit_flags)
+    if assignment is None:
+        assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
+    if assignment.k == 1:
+        flags.add(FLAG_DEGENERATE_MODES)
+    entropy_term = normalized_entropy(mode_distribution(assignment), config.k_max)
+
+    stags = [dialog_stagnation(matrix.rows[sl]) for dialog, sl in _dialog_row_slices(corpus)
+             if len(dialog.utterances) >= 2]
+    if not stags:
+        raise ValueError("no dialog has >= 2 utterances; stagnation undefined")
+    return _breakdown(entropy_term, extract_ngrams(corpus, config.ngram_n),
+                      float(np.mean(stags)), alpha, beta, config, flags)
 
 
 def core_per_dialog(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
@@ -217,44 +234,18 @@ def core_per_dialog(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
     """
     _check_alignment(corpus, matrix)
     alpha, beta, fit_flags = resolve_exponents(corpus, config)
-    log_kmax = math.log(config.k_max)
+    flags = set(fit_flags)
+    if corpus_assignment.k == 1:
+        flags.add(FLAG_DEGENERATE_MODES)
 
     results = []
     for dialog, sl in _dialog_row_slices(corpus):
-        flags = set(fit_flags)
-        labels = corpus_assignment.labels[sl]
-        counts = np.bincount(labels)
-        probs = counts[counts > 0] / counts.sum()
-        h = float(-np.sum(probs * np.log(probs)))
-        entropy_term = min(1.0, max(0.0, h / log_kmax))
-        if corpus_assignment.k == 1:
-            flags.add(FLAG_DEGENERATE_MODES)
-
-        ngram_counts = dialog_ngram_counts(dialog, config.ngram_n)
-        total = sum(ngram_counts.values())
-        if total == 0:
-            ratio = 0.0
-            rep_term = 1.0
-            flags.add(FLAG_EMPTY_NGRAMS)
-        else:
-            table = NgramTable(n=config.ngram_n, counts=dict(ngram_counts), total_occurrences=total)
-            ratio = repeated_fraction(table, config.repetition_counting)
-            rep_term = repetition_penalty(ratio, alpha)
-
-        if len(dialog.utterances) < 2:
-            raw = 1.0
-            stag_term = 0.0
-            flags.add(FLAG_NO_STAGNATION_PAIRS)
-        else:
-            raw = dialog_stagnation(matrix.rows[sl])
-            stag_term, was_clamped = stagnation_penalty(raw, beta)
-            if was_clamped:
-                flags.add(FLAG_STAGNATION_CLAMPED)
-
-        core = entropy_term * rep_term * stag_term
-        results.append((dialog.id, CoreBreakdown(
-            entropy_term=entropy_term, repetition_ratio=ratio, repetition_term=rep_term,
-            raw_stagnation=raw, stagnation_term=stag_term,
-            alpha_used=alpha, beta_used=beta, core=core, flags=frozenset(flags),
-        )))
+        counts = np.bincount(corpus_assignment.labels[sl])
+        counts = counts[counts > 0]
+        dist = ModeDistribution(probs=tuple(float(p) for p in counts / counts.sum()))
+        table = NgramTable.from_counts(config.ngram_n,
+                                       ngram_counts(dialog.tokens(), config.ngram_n))
+        raw = dialog_stagnation(matrix.rows[sl]) if len(dialog.utterances) >= 2 else None
+        results.append((dialog.id, _breakdown(normalized_entropy(dist, config.k_max), table,
+                                              raw, alpha, beta, config, flags)))
     return results

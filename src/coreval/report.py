@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -27,6 +28,8 @@ from .stats import mann_whitney_u, summarize
 
 SUMMARY_METRICS = ("core", "zipf_alpha", "heaps_beta", "unique_tokens")
 COMPARE_METRICS = ("core", "heaps_beta", "zipf_alpha")
+
+logger = logging.getLogger(__name__)
 
 
 def fmt6(x: float) -> str:
@@ -75,7 +78,10 @@ def analyze_corpus(label: str, corpus: Corpus, matrix: EmbeddingMatrix,
                    config: CoreConfig) -> CorpusAnalysis:
     """Full analysis of one corpus: corpus-level and per-dialog breakdowns,
     plus one (fit exponents, score) sample per condition present, which is
-    what the condition-comparison command consumes."""
+    what the condition-comparison command consumes.
+
+    A condition in which no dialog has two utterances has no stagnation
+    pair to score; it gets no sample, and a warning is logged."""
     assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
     breakdown = compute_core(corpus, matrix, config, assignment=assignment)
     per_dialog = core_per_dialog(corpus, matrix, config, assignment)
@@ -83,6 +89,10 @@ def analyze_corpus(label: str, corpus: Corpus, matrix: EmbeddingMatrix,
     samples = []
     for condition in sorted({d.condition for d in corpus.dialogs}):
         sub = Corpus(dialogs=tuple(d for d in corpus.dialogs if d.condition == condition))
+        if all(len(d.utterances) < 2 for d in sub.dialogs):
+            logger.warning("%s: condition %r has no dialog with >= 2 utterances; "
+                           "no condition sample written", label, condition)
+            continue
         sub_matrix = matrix.subset(sub)
         sub_breakdown = compute_core(sub, sub_matrix, config)
         stats = rank_frequency(sub)

@@ -100,6 +100,26 @@ class TestAnalyze:
         assert report["corpora"][0]["core_breakdown"]["alpha_used"] == 2.0
         assert report["corpora"][0]["core_breakdown"]["beta_used"] == 0.5
 
+    def test_condition_without_stagnation_pair_is_skipped(self, tmp_path, caplog):
+        # neutral keeps one dialog cut to its first turn: one utterance, which
+        # can be neither clustered nor scored for stagnation on its own
+        dialogs = [json.loads(line) for line in open(FIXTURE_CORPUS)]
+        neutral = next(d for d in dialogs if d["condition"] == "neutral")
+        neutral["turns"] = neutral["turns"][:1]
+        kept = [d for d in dialogs if d["condition"] != "neutral"] + [neutral]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in kept))
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="coreval.report"):
+            code = main(["analyze", str(corpus), "--embeddings", FIXTURE_EMBEDDINGS,
+                         "--out-dir", str(out)])
+        assert code == EXIT_OK
+        samples = read_csv(out / "condition_samples.csv")
+        assert {s["condition"] for s in samples} == {"cooperative", "competitive"}
+        assert len(read_csv(out / "per_dialog.csv")) == 9
+        assert any(r.name == "coreval.report" and "'neutral'" in r.getMessage()
+                   for r in caplog.records)
+
 
 class TestFit:
     def test_fit_csv(self, tmp_path):

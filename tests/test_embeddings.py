@@ -31,7 +31,7 @@ class TestLoadEmbeddings:
         ]
         matrix = load_embeddings(embed_jsonl(records), two_turn_corpus)
         assert matrix.rows.shape == (2, 4)
-        assert matrix.dim == 4
+        assert matrix.rows.shape[1] == 4
 
     def test_missing_key_named(self, two_turn_corpus):
         records = [{"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]}]
@@ -208,6 +208,20 @@ class TestDialogStagnation:
             for j in range(9)
         ])
         assert abs(dialog_stagnation(rows) - expected) < 1e-12
+
+    def test_matches_per_pair_cosine(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            rows = rng.normal(size=(rng.integers(2, 12), rng.integers(1, 9)))
+            # anti-parallel pairs: a row followed by a scaled negation of it
+            for j in np.flatnonzero(rng.random(len(rows) - 1) < 0.3) + 1:
+                rows[j] = -rng.uniform(0.1, 10.0) * rows[j - 1]
+            expected = np.mean([cosine(rows[j], rows[j + 1]) for j in range(len(rows) - 1)])
+            assert abs(dialog_stagnation(rows) - expected) <= 1e-12
+
+    def test_zero_norm_row(self):
+        with pytest.raises(EmbeddingError, match="zero-norm"):
+            dialog_stagnation(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]]))
 
     def test_in_range(self):
         rng = np.random.default_rng(6)

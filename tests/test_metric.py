@@ -1,16 +1,19 @@
 """Score composition tests: factor arithmetic, bounds, degenerate cases."""
 
+import math
+
 import numpy as np
 import pytest
 
-from coreval.corpus import NgramTable
+from coreval.corpus import NgramTable, parse_corpus
+from coreval.embeddings import load_embeddings
 from coreval.metric import (
     FLAG_DEGENERATE_MODES, FLAG_FIT_FALLBACK, FLAG_NO_STAGNATION_PAIRS,
     FLAG_STAGNATION_CLAMPED, CoreConfig, compute_core, core_per_dialog,
     repeated_fraction, repetition_penalty, resolve_exponents, stagnation_penalty,
 )
-from coreval.modes import cluster_modes
-from conftest import make_corpus, matrix_for, random_corpus_and_embeddings
+from coreval.modes import ModeAssignment, cluster_modes
+from conftest import DATA_DIR, make_corpus, matrix_for, random_corpus_and_embeddings
 
 
 def table(counts: dict) -> NgramTable:
@@ -153,6 +156,15 @@ class TestComputeCore:
         with pytest.raises(ValueError, match="zero tokens"):
             compute_core(corpus, matrix_for(corpus, rows), CoreConfig())
 
+    def test_empty_cluster_id_raises(self):
+        corpus = make_corpus([("d", "neutral", ["a b", "c d", "e f"])])
+        matrix = matrix_for(corpus, np.eye(3))
+        # id 1 of k = 3 labels no utterance
+        assignment = ModeAssignment(k=3, labels=np.array([0, 2, 2]), centroids=np.eye(3),
+                                    inertia=0.0, seed=0)
+        with pytest.raises(ValueError, match="empty cluster id"):
+            compute_core(corpus, matrix, CoreConfig(), assignment=assignment)
+
     def test_misaligned_matrix_raises(self):
         corpus = make_corpus([("d", "neutral", ["a b", "c d"])])
         other = make_corpus([("x", "neutral", ["a b", "c d"])])
@@ -184,7 +196,31 @@ class TestComputeCore:
         assert b2.repetition_term <= b1.repetition_term + 1e-12
 
 
+def inline_dialog_entropy(labels: np.ndarray, k_max: int) -> float:
+    """The per-dialog entropy as core_per_dialog once computed it inline."""
+    counts = np.bincount(labels)
+    probs = counts[counts > 0] / counts.sum()
+    h = float(-np.sum(probs * np.log(probs)))
+    return min(1.0, max(0.0, h / math.log(k_max)))
+
+
 class TestCorePerDialog:
+    def test_entropy_matches_inline_oracle_on_fixture(self):
+        with open(DATA_DIR / "fixture_corpus.jsonl", "rb") as fh:
+            corpus = parse_corpus(fh)
+        matrix = load_embeddings(DATA_DIR / "fixture_embeddings.jsonl", corpus)
+        config = CoreConfig()
+        assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
+        per = core_per_dialog(corpus, matrix, config, assignment)
+        offset = 0
+        for dialog, (dialog_id, b) in zip(corpus.dialogs, per):
+            n = len(dialog.utterances)
+            expected = inline_dialog_entropy(assignment.labels[offset : offset + n], config.k_max)
+            assert dialog_id == dialog.id
+            assert abs(b.entropy_term - expected) <= 1e-15
+            offset += n
+        assert offset == len(matrix.keys)
+
     def test_single_cluster_dialog_entropy_zero(self):
         centers = np.array([[0.0, 10.0], [10.0, 0.0]])
         spec = [("near", "neutral", ["a b c", "d e f"]),
