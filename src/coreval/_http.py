@@ -11,23 +11,33 @@ class EndpointError(RuntimeError):
     """External service unreachable or returned an invalid response after retries."""
 
 
+def _retry_after_seconds(resp: requests.Response) -> float:
+    """The delta-seconds form of a Retry-After header; 0 when absent or another form."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
+
+
 def post_json(url: str, payload: dict, *, retries: int = 3, backoff: float = 0.5,
               timeout: float = 30.0) -> dict:
     """POST ``payload`` as JSON, returning the decoded response body.
 
-    Connection errors, timeouts, and 5xx responses are retried up to
-    ``retries`` attempts with exponential backoff; 4xx responses and
-    undecodable bodies fail immediately.
+    Connection errors, timeouts, 5xx and 429 responses are retried up to
+    ``retries`` attempts with exponential backoff.  After a 429 the wait is
+    at least the response's Retry-After seconds, capped at ``timeout``.
+    Other 4xx responses and undecodable bodies fail immediately.
     """
     last_error: EndpointError | None = None
     for attempt in range(retries):
+        retry_after = 0.0
         try:
             resp = requests.post(url, json=payload, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_error = EndpointError(f"POST {url} failed: {exc}")
         else:
-            if resp.status_code >= 500:
+            if resp.status_code >= 500 or resp.status_code == 429:
                 last_error = EndpointError(f"POST {url} failed: HTTP {resp.status_code}")
+                if resp.status_code == 429:
+                    retry_after = min(_retry_after_seconds(resp), timeout)
             elif resp.status_code >= 400:
                 raise EndpointError(f"POST {url} failed: HTTP {resp.status_code}: {resp.text[:200]}")
             else:
@@ -36,6 +46,6 @@ def post_json(url: str, payload: dict, *, retries: int = 3, backoff: float = 0.5
                 except ValueError as exc:
                     raise EndpointError(f"POST {url}: response is not valid JSON: {exc}") from None
         if attempt + 1 < retries:
-            time.sleep(backoff * (2 ** attempt))
+            time.sleep(max(backoff * (2 ** attempt), retry_after))
     assert last_error is not None
     raise last_error

@@ -199,9 +199,9 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
     Modes are clustered over all utterance embeddings (pass a precomputed
     ``assignment`` to reuse one); repetition is measured on the pooled
     per-dialog n-gram table; stagnation is the mean over dialogs with at
-    least two utterances.  Raises if the corpus has no tokens, no dialog
-    long enough for a stagnation pair, or an assignment with an empty
-    cluster id.
+    least two utterances.  A corpus with no such dialog gets
+    stagnation_term 0 and the no_stagnation_pairs flag.  Raises if the
+    corpus has no tokens or the assignment has an empty cluster id.
     """
     _check_alignment(corpus, matrix)
     if not any(True for _ in corpus.iter_tokens()):
@@ -217,10 +217,8 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
 
     stags = [dialog_stagnation(matrix.rows[sl]) for dialog, sl in _dialog_row_slices(corpus)
              if len(dialog.utterances) >= 2]
-    if not stags:
-        raise ValueError("no dialog has >= 2 utterances; stagnation undefined")
     return _breakdown(entropy_term, extract_ngrams(corpus, config.ngram_n),
-                      float(np.mean(stags)), alpha, beta, config, flags)
+                      float(np.mean(stags)) if stags else None, alpha, beta, config, flags)
 
 
 def core_per_dialog(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,

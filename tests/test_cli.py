@@ -120,6 +120,25 @@ class TestAnalyze:
         assert any(r.name == "coreval.report" and "'neutral'" in r.getMessage()
                    for r in caplog.records)
 
+    def test_corpus_without_stagnation_pair_is_flagged(self, tmp_path):
+        # every dialog cut to its first turn: the corpus gets a flagged breakdown
+        # and every condition is skipped
+        dialogs = [json.loads(line) for line in open(FIXTURE_CORPUS)]
+        for d in dialogs:
+            d["turns"] = d["turns"][:1]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs))
+        out = tmp_path / "out"
+        code = main(["analyze", str(corpus), "--embeddings", FIXTURE_EMBEDDINGS,
+                     "--out-dir", str(out)])
+        assert code == EXIT_OK
+        breakdown = json.loads((out / "report.json").read_text())["corpora"][0]["core_breakdown"]
+        assert breakdown["stagnation_term"] == 0.0
+        assert breakdown["core"] == 0.0
+        assert "no_stagnation_pairs" in breakdown["flags"]
+        assert len(read_csv(out / "per_dialog.csv")) == 12
+        assert read_csv(out / "condition_samples.csv") == []
+
 
 class TestFit:
     def test_fit_csv(self, tmp_path):

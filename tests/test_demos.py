@@ -1,4 +1,4 @@
-"""Smoke test: the demos that reach cluster_modes run to completion."""
+"""Smoke test: every demo runs to completion and leaves its files in a temp dir."""
 
 import os
 import subprocess
@@ -10,10 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["03_modes_and_entropy.py", "04_core_score.py"])
-def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_exits_zero(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=tmp_path,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -150,6 +150,13 @@ class TestComputeCore:
         assert b.stagnation_term == 1.0
         assert FLAG_STAGNATION_CLAMPED in b.flags
 
+    def test_no_stagnation_pair_is_flagged(self):
+        corpus = make_corpus([(f"d{i}", "neutral", [f"lone words {i}"]) for i in range(3)])
+        b = compute_core(corpus, matrix_for(corpus, np.eye(3)), CoreConfig())
+        assert b.stagnation_term == 0.0
+        assert b.core == 0.0
+        assert FLAG_NO_STAGNATION_PAIRS in b.flags
+
     def test_zero_token_corpus_raises(self):
         corpus = make_corpus([("d", "neutral", ["!!!", "???"])])
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -46,6 +46,10 @@ def loop_silhouette(dist, labels, k) -> float:
     return float(scores.mean())
 
 
+def far_from_origin(seed):
+    return 1e7 + np.random.default_rng(seed).normal(size=(60, 3)) * 1e4
+
+
 def blob_sets():
     """The point sets the clustering tests below run on, plus the fixture's
     embeddings and their condition subsets, as (name, points, k_max)."""
@@ -69,6 +73,8 @@ def blob_sets():
     rng = np.random.default_rng(7)
     for k_true in (2, 4, 5):
         sets.append((f"eye_{k_true}", gaussian_blobs(rng, np.eye(k_true) * 20.0, 25)[0], 10))
+    for seed in range(3):
+        sets.append((f"far_{seed}", far_from_origin(seed), 10))
     with open(DATA_DIR / "fixture_corpus.jsonl", "rb") as fh:
         corpus = parse_corpus(fh)
     matrix = load_embeddings(DATA_DIR / "fixture_embeddings.jsonl", corpus)
@@ -264,33 +270,68 @@ class TestSilhouette:
         assert np.array_equal(fast.labels, slow.labels)
 
     def test_one_pairwise_matrix_per_call(self, monkeypatch):
-        shapes = []
-        real = modes.cdist
+        pairwise, shapes = [], []
+        real_pairwise, real_cdist = modes._pairwise_distances, modes.cdist
 
-        def counting(xa, xb, *args, **kwargs):
+        def counting_pairwise(points):
+            pairwise.append(len(points))
+            return real_pairwise(points)
+
+        def counting_cdist(xa, xb, *args, **kwargs):
             shapes.append((len(xa), len(xb)))
-            return real(xa, xb, *args, **kwargs)
+            return real_cdist(xa, xb, *args, **kwargs)
 
-        monkeypatch.setattr(modes, "cdist", counting)
+        monkeypatch.setattr(modes, "_pairwise_distances", counting_pairwise)
+        monkeypatch.setattr(modes, "cdist", counting_cdist)
         for _, points, k_max in blob_sets():
             n = len(points)
+            pairwise.clear()
             shapes.clear()
             cluster_modes(points, k_max=k_max, seed=42)
-            if min(k_max, len(np.unique(points, axis=0))) < n:  # then K < n: no k-means call is n x n
-                assert shapes.count((n, n)) == 1
+            assert pairwise == [n]
+            # what is left on cdist is Lloyd's points-to-centroids distances
+            assert shapes and all(rows == n and k <= k_max for rows, k in shapes)
+        pairwise.clear()
         shapes.clear()
         assignment = cluster_modes(np.tile([1.0, 2.0], (12, 1)), k_max=5, seed=42)
         assert assignment.k == 1
-        assert shapes == []
+        assert pairwise == [] and shapes == []
+
+
+class TestPairwiseDistances:
+    def test_matches_cdist(self):
+        rng = np.random.default_rng(10)
+        for trial in range(90):
+            n = int(rng.integers(3, 301))
+            dim = int(rng.integers(1, 401))
+            if trial % 3 == 0:  # repeated rows: their distances must come out (near) zero
+                pool = rng.normal(size=(int(rng.integers(2, 6)), dim))
+                points = pool[rng.integers(0, len(pool), n)]
+                points[:2] = pool[:2]  # at least two distinct rows
+            else:
+                points = rng.normal(size=(n, dim)) * rng.random() * 10
+            points = points + (0.0, 1e3, 1e7)[trial // 3 % 3]
+            dist = modes._pairwise_distances(points)
+            exact = cdist(points, points)
+            scale = exact.max()
+            assert np.abs(dist - dist.T).max() <= 1e-7 * scale, (trial, n, dim)
+            assert (np.diagonal(dist) == 0.0).all()
+            assert np.abs(dist - exact).max() <= 1e-7 * scale, (trial, n, dim)
+
+    @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
+    def test_selection_matches_cdist(self, monkeypatch, points, k_max):
+        fast = cluster_modes(points, k_max=k_max, seed=42)
+        monkeypatch.setattr(modes, "_pairwise_distances", lambda p: cdist(p, p))
+        slow = cluster_modes(points, k_max=k_max, seed=42)
+        assert fast.k == slow.k
+        assert np.array_equal(fast.labels, slow.labels)
 
 
 class TestLloyd:
     def test_far_from_origin_clusters(self):
         # inertia near 1e10 carries rounding far above any fixed absolute tolerance
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            points = 1e7 + rng.normal(size=(60, 3)) * 1e4
-            assignment = cluster_modes(points, k_max=10, seed=seed)
+            assignment = cluster_modes(far_from_origin(seed), k_max=10, seed=seed)
             assert set(assignment.labels.tolist()) == set(range(assignment.k))
 
     def test_inertia_increase_raises(self, monkeypatch):
