@@ -37,15 +37,16 @@ url = f"http://127.0.0.1:{server.server_port}"
 print(f"mock chat endpoint at {url}")
 print(f"seed prompt: {seed_prompt('competitive')!r}\n")
 
-out = Path(tempfile.mkdtemp()) / "dialogs.jsonl"
 config = GenerationConfig(endpoint_a=url, endpoint_b=url,
                           model_a="negotiator-a", model_b="negotiator-b",
                           condition="competitive", dialogs=3, turns=6)
-result = generate_dialogs(config, out)
-print(f"generated {result.completed} dialogs -> {out}\n")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "dialogs.jsonl"
+    result = generate_dialogs(config, out)
+    print(f"generated {result.completed} dialogs -> {out}\n")
 
-with open(out, "rb") as fh:
-    corpus = parse_corpus(fh)
+    with open(out, "rb") as fh:
+        corpus = parse_corpus(fh)
 first = corpus.dialogs[0]
 print(f"transcript of {first.id}:")
 for utt in first.utterances:

@@ -2,18 +2,26 @@
 
 Utterance embeddings are grouped with k-means (k-means++ initialization,
 Lloyd iterations) and the number of modes is chosen by mean silhouette
-score over K = 2..k_max.  The silhouette of every K is computed from one
-pairwise Euclidean distance matrix per clustering call, so memory is O(n^2):
-one n x n float64 array, 6.5 MB at 900 utterances.  That matrix is built in
-Gram form, sqrt(|p_i|^2 + |p_j|^2 - 2 p_i.p_j), from one BLAS product of the
-rows centered on their mean; it differs from the direct difference form by
-a few 1e-8 of the largest distance (the tests bound it at 1e-7).  Lloyd's
-point-to-centroid distances stay in the direct form, because their argmin
-sets the labels.  The implementation is deliberately self-contained so runs
-are bit-reproducible given a seed: assignment ties resolve to the lowest
-cluster index, empty clusters are reseeded to the point currently farthest
-from its centroid, and each K uses an independent generator derived from
-(seed, K).
+score over K = 2..k_max.  The module needs numpy alone.
+
+One squared Euclidean distance matrix is built per clustering call, in Gram
+form |p_i|^2 + |p_j|^2 - 2 p_i.p_j from one BLAS product of the rows
+centered on their mean; it differs from the direct difference form by a few
+1e-15 of the largest squared distance (the tests bound it at 1e-13).  Every
+K's k-means++ seeds are drawn from its rows, since every seed is a data
+point; the matrix then becomes the Euclidean one in place, which every K's
+silhouette reads.  So memory is O(n^2): one n x n float64 array, 6.5 MB at
+900 utterances.  Lloyd's point-to-centroid distances are in the same Gram
+form (one n x K product per iteration) and their argmin sets the labels;
+a point whose two nearest centroids are within the Gram form's rounding of
+each other is assigned from the exact differences instead.  The inertia and
+each point's distance to its own centroid are summed from the exact
+differences, so the inertia guard stays exact.
+
+The implementation is deliberately self-contained so runs are
+bit-reproducible given a seed: assignment ties resolve to the lowest cluster
+index, empty clusters are reseeded to the point currently farthest from its
+centroid, and each K uses an independent generator derived from (seed, K).
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .embeddings import EmbeddingMatrix
 
@@ -50,39 +57,90 @@ class ModeDistribution:
             raise ValueError("mode probabilities must sum to 1")
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def cdist(points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from n points to K centers, in Gram form.
+
+    ``points`` and ``centers`` are centered on the same mean and ``sq_norms``
+    holds the points' squared norms, so one call is one BLAS product
+    ``|p|^2 + |c|^2 - 2 p.c``, clamped at 0 because rounding can make an
+    entry slightly negative.  The name and the order of the first two
+    arguments (n points, then K centers) follow ``scipy.spatial.distance.cdist``,
+    which this replaced, because the benchmark's tracer wraps
+    ``coreval.modes.cdist`` and counts ``len(points) * len(centers)`` entries
+    per call.
+    """
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _kmeans_pp_init(points: np.ndarray, sq_dist: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: each next center drawn with probability proportional
-    to squared distance from the nearest chosen center."""
+    to squared distance from the nearest chosen center.
+
+    The centers are data points, so a center's squared distances to every
+    point are its row of ``sq_dist``, the n x n squared distance matrix.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
+    chosen = [int(rng.integers(n))]
+    d2 = sq_dist[chosen[0]].copy()
+    for _ in range(1, k):
         total = d2.sum()
         if total <= 0:  # all remaining points coincide with chosen centers
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+        chosen.append(idx)
+        np.minimum(d2, sq_dist[idx], out=d2)
+    return points[chosen]
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations until the max centroid shift drops below tolerance.
 
-    Empty clusters are reseeded to the point farthest from its assigned
-    centroid, which keeps inertia non-increasing; an increase beyond
-    rounding raises RuntimeError.
+    Labels come from the Gram-form ``cdist`` of the points and centers
+    centered on the points' mean, or from the exact differences where the
+    two nearest centers are within its rounding.  The inertia, and each
+    point's distance to its own center, are summed from the exact
+    differences in one n x d buffer.  Empty clusters are reseeded to the
+    point farthest from its assigned centroid, which keeps inertia
+    non-increasing; an increase beyond rounding raises RuntimeError.
     """
-    k = centers.shape[0]
-    prev_inertia = math.inf
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    for _ in range(_MAX_LLOYD_ITERS):
-        d2 = cdist(points, centers, metric="sqeuclidean")
+    (n, dim), k = points.shape, centers.shape[0]
+    mean = points.mean(axis=0)
+    centered = points - mean
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    # A Gram-form entry rounds by up to about (dim + 2) * eps * (|p|^2 + |c|^2),
+    # and a center, a mean of points or a point, is no farther from the mean
+    # than the farthest point.  Entries closer than 4x that to a row's minimum
+    # are near ties (tight clusters far from the mean), decided from the
+    # exact differences.
+    tol = 4 * (dim + 2) * np.finfo(np.float64).eps * 2 * sq_norms.max()
+    rows = np.arange(n)
+    diff = np.empty_like(points)
+
+    def assign(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d2 = cdist(centered, centers - mean, sq_norms)
         labels = np.argmin(d2, axis=1)
-        nearest = d2[np.arange(points.shape[0]), labels]
+        ties = d2 <= d2[rows, labels][:, None] + tol
+        if np.count_nonzero(ties) > n:  # some point has a second center within tol
+            unsure = np.flatnonzero(ties.sum(axis=1) > 1)
+            close = points[unsure]
+            labels[unsure] = np.argmin(
+                np.stack([np.sum((close - c) ** 2, axis=1) for c in centers], axis=1), axis=1)
+        # into the buffer: a fresh n x d array per iteration costs its page
+        # faults each time; "clip" skips the copy of ``out`` that take makes
+        # to check bounds (argmin labels are in range)
+        np.take(centers, labels, axis=0, out=diff, mode="clip")
+        np.subtract(points, diff, out=diff)
+        return labels, np.einsum("ij,ij->i", diff, diff)
+
+    prev_inertia = math.inf
+    for _ in range(_MAX_LLOYD_ITERS):
+        labels, nearest = assign(centers)
         inertia = float(nearest.sum())
         # relative slack: the rounding in a float sum grows with its magnitude
         if inertia > prev_inertia * (1 + 1e-12) + 1e-12:
@@ -109,14 +167,12 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
         centers = new_centers
         if shift < _CENTROID_SHIFT_TOL and not empty:
             break
-    d2 = cdist(points, centers, metric="sqeuclidean")
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, centers, inertia
+    labels, nearest = assign(centers)
+    return labels, centers, float(nearest.sum())
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of the rows, in Gram form.
+    """Squared Euclidean distance matrix of the rows, in Gram form.
 
     Centering first leaves the distances unchanged and keeps the squared
     norms small far from the origin, where |p|^2 would swamp |p_i - p_j|^2.
@@ -126,13 +182,12 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     an off-diagonal entry slightly negative, so entries are clamped at 0.
     """
     centered = points - points.mean(axis=0)
-    dist = centered @ centered.T
-    sq_norms = dist.diagonal().copy()
-    dist *= -2.0
-    dist += sq_norms[:, None]
-    dist += sq_norms
-    np.maximum(dist, 0.0, out=dist)
-    return np.sqrt(dist, out=dist)
+    sq_dist = centered @ centered.T
+    sq_norms = sq_dist.diagonal().copy()
+    sq_dist *= -2.0
+    sq_dist += sq_norms[:, None]
+    sq_dist += sq_norms
+    return np.maximum(sq_dist, 0.0, out=sq_dist)
 
 
 def _mean_silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -160,12 +215,14 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
 
     Runs k-means for each K in 2..min(k_max, distinct-row count) and keeps
     the K with the highest mean silhouette (ties go to the smaller K).
-    Every K's silhouette reads one n x n Euclidean distance matrix computed
-    once per call in Gram form (``_pairwise_distances``: centered rows, one
-    BLAS product, within 1e-7 of the largest distance of the direct form),
-    which takes O(n^2) memory: one n x n array, 6.5 MB at n = 900.
-    A matrix whose rows are all identical yields the degenerate single-mode
-    assignment k=1.
+    One n x n squared distance matrix is computed per call in Gram form
+    (``_pairwise_distances``: centered rows, one BLAS product).  Every K's
+    k-means++ seeds are drawn from its rows first; then its square root,
+    taken in place, serves every K's silhouette.  That takes O(n^2) memory:
+    one n x n array, 6.5 MB at n = 900.  Lloyd assigns labels by Gram-form
+    distances to the centroids, deciding near ties and summing its inertia
+    from the exact differences.  A matrix whose rows are all identical yields the
+    degenerate single-mode assignment k=1.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
@@ -178,11 +235,14 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
         return ModeAssignment(k=1, labels=np.zeros(n, dtype=np.int64),
                               centroids=points[:1].copy(), inertia=0.0, seed=seed)
 
-    dist = _pairwise_distances(points)
+    ks = range(2, min(k_max, n_distinct) + 1)
+    sq_dist = _pairwise_distances(points)
+    # every K's seeds are drawn before the matrix becomes the silhouette's
+    # Euclidean one in place, so one n x n array is alive
+    starts = [_kmeans_pp_init(points, sq_dist, k, np.random.default_rng([seed, k])) for k in ks]
+    dist = np.sqrt(sq_dist, out=sq_dist)
     best: tuple[float, int, np.ndarray, np.ndarray, float] | None = None
-    for k in range(2, min(k_max, n_distinct) + 1):
-        rng = np.random.default_rng([seed, k])
-        centers = _kmeans_pp_init(points, k, rng)
+    for k, centers in zip(ks, starts):
         labels, centroids, inertia = _lloyd(points, centers)
         score = _mean_silhouette(dist, labels, k)
         if best is None or score > best[0]:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from coreval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_SERVICE, EXIT_VALIDATION, main
 from coreval.report import fmt6
@@ -9,6 +13,9 @@ from conftest import DATA_DIR, echo_chat_handler, echo_embed_handler
 
 FIXTURE_CORPUS = str(DATA_DIR / "fixture_corpus.jsonl")
 FIXTURE_EMBEDDINGS = str(DATA_DIR / "fixture_embeddings.jsonl")
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -344,3 +351,16 @@ class TestRoundTrips:
         assert len(compare) == 9
         temporal = read_csv(out / "temporal.csv")
         assert len(temporal) == 12  # 3 conditions x 2 agent_a x 2 indexes
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only; importing scipy.spatial took about
+        # half of a fresh `import coreval.cli`
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = ("import sys, coreval.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

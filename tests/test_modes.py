@@ -46,6 +46,64 @@ def loop_silhouette(dist, labels, k) -> float:
     return float(scores.mean())
 
 
+def direct_kmeans_pp_init(points, k, rng):
+    """k-means++ seeding with squared distances from the direct difference
+    form: the reference for seeding from the Gram-form matrix."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def cdist_lloyd(points, centers):
+    """Lloyd iterations on scipy's exact point-to-centroid distances: the
+    reference for the Gram-form assignment with exact inertia."""
+    k = centers.shape[0]
+    prev_inertia = math.inf
+    labels = np.zeros(points.shape[0], dtype=np.int64)
+    for _ in range(modes._MAX_LLOYD_ITERS):
+        d2 = cdist(points, centers, metric="sqeuclidean")
+        labels = np.argmin(d2, axis=1)
+        nearest = d2[np.arange(points.shape[0]), labels]
+        inertia = float(nearest.sum())
+        if inertia > prev_inertia * (1 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means inertia increased from {prev_inertia!r} to {inertia!r}")
+        prev_inertia = inertia
+        new_centers = centers.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centers[j] = points[members].mean(axis=0)
+        empty = [j for j in range(k) if not (labels == j).any()]
+        if empty:
+            claimed = set()
+            order = np.argsort(-nearest)
+            for j in empty:
+                for cand in order:
+                    if int(cand) not in claimed:
+                        claimed.add(int(cand))
+                        new_centers[j] = points[cand]
+                        break
+        shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        centers = new_centers
+        if shift < modes._CENTROID_SHIFT_TOL and not empty:
+            break
+    d2 = cdist(points, centers, metric="sqeuclidean")
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    return labels, centers, inertia
+
+
 def far_from_origin(seed):
     return 1e7 + np.random.default_rng(seed).normal(size=(60, 3)) * 1e4
 
@@ -75,6 +133,15 @@ def blob_sets():
         sets.append((f"eye_{k_true}", gaussian_blobs(rng, np.eye(k_true) * 20.0, 25)[0], 10))
     for seed in range(3):
         sets.append((f"far_{seed}", far_from_origin(seed), 10))
+    # unit spread 1e8 from the origin, where uncentered Gram-form entries
+    # would round by more than the distances
+    sets.append(("far_unit", 1e8 + np.random.default_rng(11).normal(size=(60, 3)), 10))
+    # blobs 1e4 apart with spread 1e-4: Gram-form distances within a blob
+    # are mostly rounding, so Lloyd needs its exact near-tie decision and its
+    # exact inertia here
+    rng = np.random.default_rng(12)
+    sets.append(("tight_far_apart", gaussian_blobs(rng, np.array([[0.0] * 3, [1e4] * 3]), 20,
+                                                   sigma=1e-4)[0], 10))
     with open(DATA_DIR / "fixture_corpus.jsonl", "rb") as fh:
         corpus = parse_corpus(fh)
     matrix = load_embeddings(DATA_DIR / "fixture_embeddings.jsonl", corpus)
@@ -311,17 +378,17 @@ class TestPairwiseDistances:
             else:
                 points = rng.normal(size=(n, dim)) * rng.random() * 10
             points = points + (0.0, 1e3, 1e7)[trial // 3 % 3]
-            dist = modes._pairwise_distances(points)
-            exact = cdist(points, points)
+            sq_dist = modes._pairwise_distances(points)
+            exact = cdist(points, points, "sqeuclidean")
             scale = exact.max()
-            assert np.abs(dist - dist.T).max() <= 1e-7 * scale, (trial, n, dim)
-            assert (np.diagonal(dist) == 0.0).all()
-            assert np.abs(dist - exact).max() <= 1e-7 * scale, (trial, n, dim)
+            assert np.abs(sq_dist - sq_dist.T).max() <= 1e-13 * scale, (trial, n, dim)
+            assert (np.diagonal(sq_dist) == 0.0).all()
+            assert np.abs(sq_dist - exact).max() <= 1e-13 * scale, (trial, n, dim)
 
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_selection_matches_cdist(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_pairwise_distances", lambda p: cdist(p, p))
+        monkeypatch.setattr(modes, "_pairwise_distances", lambda p: cdist(p, p, "sqeuclidean"))
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
@@ -335,11 +402,50 @@ class TestLloyd:
             assert set(assignment.labels.tolist()) == set(range(assignment.k))
 
     def test_inertia_increase_raises(self, monkeypatch):
-        # a uniform, growing offset keeps every argmin but raises the inertia each iteration
+        # after the first assignment every point goes to its farthest center,
+        # which raises the exact inertia
         real = modes.cdist
-        calls = itertools.count(1)
-        monkeypatch.setattr(modes, "cdist",
-                            lambda xa, xb, **kw: real(xa, xb, **kw) + 1e3 * next(calls))
+        calls = itertools.count()
+
+        def farthest_after_first(points, centers, *args):
+            d2 = real(points, centers, *args)
+            return d2 if next(calls) == 0 else -d2
+
+        monkeypatch.setattr(modes, "cdist", farthest_after_first)
         points = np.random.default_rng(9).normal(size=(20, 2))
         with pytest.raises(RuntimeError, match="inertia increased"):
             modes._lloyd(points, points[:2].copy())
+
+    def test_cdist_matches_scipy(self):
+        rng = np.random.default_rng(13)
+        for trial in range(30):
+            n, dim, k = int(rng.integers(2, 200)), int(rng.integers(1, 100)), int(rng.integers(1, 11))
+            points = rng.normal(size=(n, dim)) * rng.random() * 10 + (0.0, 1e3, 1e7)[trial % 3]
+            # centers on points give zero distances, which rounding can push below 0
+            mean = points.mean(axis=0)
+            centers = np.vstack([points[rng.integers(0, n, k)], rng.normal(size=(k, dim)) + mean])
+            centered = points - mean
+            d2 = modes.cdist(centered, centers - mean, np.einsum("ij,ij->i", centered, centered))
+            exact = cdist(points, centers, "sqeuclidean")
+            assert (d2 >= 0.0).all()
+            assert np.abs(d2 - exact).max() <= 1e-13 * exact.max(), trial
+
+    @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
+    def test_matches_cdist_oracle(self, monkeypatch, points, k_max):
+        fast = cluster_modes(points, k_max=k_max, seed=42)
+        monkeypatch.setattr(modes, "_lloyd", cdist_lloyd)
+        slow = cluster_modes(points, k_max=k_max, seed=42)
+        assert fast.k == slow.k
+        assert np.array_equal(fast.labels, slow.labels)
+        assert fast.inertia == pytest.approx(slow.inertia, rel=1e-9, abs=0.0)
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
+    def test_matches_direct_form_oracle(self, monkeypatch, points, k_max):
+        fast = cluster_modes(points, k_max=k_max, seed=42)
+        monkeypatch.setattr(modes, "_kmeans_pp_init",
+                            lambda points, sq_dist, k, rng: direct_kmeans_pp_init(points, k, rng))
+        slow = cluster_modes(points, k_max=k_max, seed=42)
+        assert fast.k == slow.k
+        assert np.array_equal(fast.labels, slow.labels)
