@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"coreval: external service failure: {exc}", file=sys.stderr)
         return EXIT_SERVICE
     except (ValidationError, CorpusError, EmbeddingError, FitError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"coreval: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -5,6 +5,8 @@ line.  Everything downstream (exponent fits, the robustness score, the
 behavioral profiles) consumes the token streams and count tables produced
 here, so iteration order is pinned: dialogs ascending by id, utterances by
 turn index.
+Each statistic tokenizes each utterance once; the benchmark's tracer test
+pins that count until ROADMAP item 3, so the statistics share no token pass.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 CONDITIONS = ("cooperative", "competitive", "neutral")
 
-_WORD_RE = re.compile(r"\b\w+\b")
+_WORD_RE = re.compile(r"\w+")
 
 
 class CorpusError(ValueError):
@@ -75,10 +79,7 @@ class Dialog:
 
     def tokens(self) -> list[str]:
         """Concatenated token stream of all turns, in turn order."""
-        out: list[str] = []
-        for utt in self.utterances:
-            out.extend(tokenize(utt.text))
-        return out
+        return list(chain.from_iterable(tokenize(u.text) for u in self.utterances))
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,7 @@ class Corpus:
         return [(u.dialog_id, u.turn_index) for u in self.iter_utterances()]
 
     def iter_tokens(self) -> Iterator[str]:
-        for dialog in self.dialogs:
-            for utt in dialog.utterances:
-                yield from tokenize(utt.text)
+        yield from _corpus_tokens(self)
 
     def __len__(self) -> int:
         return len(self.dialogs)
@@ -129,7 +128,8 @@ class TokenStats:
 
     @classmethod
     def from_counts(cls, counts: dict[str, int] | Counter) -> "TokenStats":
-        entries = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+        # two stable sorts give the (-count, token) order without a key tuple per entry
+        entries = tuple(sorted(sorted(counts.items()), key=itemgetter(1), reverse=True))
         return cls(entries=entries, total_tokens=sum(counts.values()))
 
 
@@ -236,24 +236,31 @@ def write_corpus(corpus: Corpus, fh: IO[str]) -> None:
         fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
+def _windows(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    return zip(*(tokens[i:] for i in range(n)))  # none when shorter than n
+
+
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     """Sliding-window n-gram counts over one token stream (empty when shorter than n)."""
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(_windows(tokens, n))
 
 
 def extract_ngrams(corpus: Corpus, n: int) -> NgramTable:
     """Aggregate n-gram counts per dialog; windows do not cross dialog boundaries."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    counts: Counter = Counter()
-    for dialog in corpus.dialogs:
-        counts.update(ngram_counts(dialog.tokens(), n))
+    counts = Counter(chain.from_iterable(_windows(d.tokens(), n) for d in corpus.dialogs))
     return NgramTable.from_counts(n, counts)
+
+
+def _corpus_tokens(corpus: Corpus) -> Iterator[str]:
+    """The corpus token stream, one ``tokenize`` call per utterance, chained in C."""
+    return chain.from_iterable(tokenize(u.text) for u in corpus.iter_utterances())
 
 
 def rank_frequency(corpus: Corpus) -> TokenStats:
     """Token counts over the whole corpus, sorted into a rank-frequency table."""
-    counts = Counter(corpus.iter_tokens())
+    counts = Counter(_corpus_tokens(corpus))
     if not counts:
         raise CorpusError("corpus has no tokens")
     return TokenStats.from_counts(counts)
@@ -263,19 +270,14 @@ def vocab_growth(corpus: Corpus, stride: int) -> VocabGrowthCurve:
     """Distinct-type count sampled every ``stride`` tokens (and at the final token)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    seen: set[str] = set()
-    points: list[tuple[int, int]] = []
-    n = 0
-    for token in corpus.iter_tokens():
-        n += 1
-        seen.add(token)
-        if n % stride == 0:
-            points.append((n, len(seen)))
-    if n == 0:
+    tokens = list(_corpus_tokens(corpus))
+    if not tokens:
         raise CorpusError("corpus has no tokens")
-    if not points or points[-1][0] != n:
-        points.append((n, len(seen)))
-    return VocabGrowthCurve(points=tuple(points))
+    # type ids in first-occurrence order: after n tokens the vocabulary is the largest id + 1
+    type_ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    vocab = np.maximum.accumulate([type_ids[t] for t in tokens]) + 1
+    ns = [*range(stride, len(tokens), stride), len(tokens)]
+    return VocabGrowthCurve(points=tuple(zip(ns, vocab[np.array(ns) - 1].tolist())))
 
 
 def tfidf_features(corpus: Corpus, max_features: int) -> np.ndarray:
@@ -291,10 +293,8 @@ def tfidf_features(corpus: Corpus, max_features: int) -> np.ndarray:
     if not corpus.dialogs:
         raise CorpusError("empty corpus")
     doc_tokens = [d.tokens() for d in corpus.dialogs]
-    totals: Counter = Counter()
-    for tokens in doc_tokens:
-        totals.update(tokens)
-    vocab = [t for t, _ in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:max_features]]
+    totals = Counter(chain.from_iterable(doc_tokens))
+    vocab = [t for t, _ in TokenStats.from_counts(totals).entries[:max_features]]
     col = {t: j for j, t in enumerate(vocab)}
 
     n_docs = len(doc_tokens)

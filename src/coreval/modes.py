@@ -16,7 +16,9 @@ form (one n x K product per iteration) and their argmin sets the labels;
 a point whose two nearest centroids are within the Gram form's rounding of
 each other is assigned from the exact differences instead.  The inertia and
 each point's distance to its own centroid are summed from the exact
-differences, so the inertia guard stays exact.
+differences, so the inertia guard stays exact.  Cluster sizes come from
+one ``bincount``; at an exact fixed point Lloyd returns the assignment just
+made, which another one would repeat bit for bit.
 
 The implementation is deliberately self-contained so runs are
 bit-reproducible given a seed: assignment ties resolve to the lowest cluster
@@ -105,9 +107,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     centered on the points' mean, or from the exact differences where the
     two nearest centers are within its rounding.  The inertia, and each
     point's distance to its own center, are summed from the exact
-    differences in one n x d buffer.  Empty clusters are reseeded to the
-    point farthest from its assigned centroid, which keeps inertia
-    non-increasing; an increase beyond rounding raises RuntimeError.
+    differences in one n x d buffer.  Cluster sizes come from one
+    ``bincount``; empty clusters are reseeded to the points farthest from
+    their centroids, which keeps inertia non-increasing; an increase beyond
+    rounding raises RuntimeError.  At an exact fixed point, with no cluster
+    empty, the assignment just made is returned: a last one would repeat it.
     """
     (n, dim), k = points.shape, centers.shape[0]
     mean = points.mean(axis=0)
@@ -147,25 +151,19 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
             raise RuntimeError(f"k-means inertia increased from {prev_inertia!r} to {inertia!r}")
         prev_inertia = inertia
 
+        sizes = np.bincount(labels, minlength=k)
         new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = points[members].mean(axis=0)
+        for j in np.flatnonzero(sizes):
+            new_centers[j] = points[labels == j].mean(axis=0)
         # reseed empties after the mean update so the farthest point is current
-        empty = [j for j in range(k) if not (labels == j).any()]
-        if empty:
-            claimed: set[int] = set()
-            order = np.argsort(-nearest)
-            for j in empty:
-                for cand in order:
-                    if int(cand) not in claimed:
-                        claimed.add(int(cand))
-                        new_centers[j] = points[cand]
-                        break
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            new_centers[empty] = points[np.argsort(-nearest)[:empty.size]]
+        elif np.array_equal(new_centers, centers):
+            return labels, new_centers, inertia
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
-        if shift < _CENTROID_SHIFT_TOL and not empty:
+        if shift < _CENTROID_SHIFT_TOL and not empty.size:
             break
     labels, nearest = assign(centers)
     return labels, centers, float(nearest.sum())
@@ -230,7 +228,8 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"clustering needs >= 2 utterances, got {n}")
-    n_distinct = np.unique(points, axis=0).shape[0]
+    # adding 0.0 turns -0.0 into +0.0, so rows that differ only there count as one
+    n_distinct = len({row.tobytes() for row in points + 0.0})
     if n_distinct == 1:
         return ModeAssignment(k=1, labels=np.zeros(n, dtype=np.int64),
                               centroids=points[:1].copy(), inertia=0.0, seed=seed)

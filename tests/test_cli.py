@@ -146,6 +146,15 @@ class TestAnalyze:
         assert len(read_csv(out / "per_dialog.csv")) == 12
         assert read_csv(out / "condition_samples.csv") == []
 
+    def test_directory_input_is_validation_error(self, tmp_path, capsys):
+        # opening a directory raises IsADirectoryError, an OSError but not a
+        # FileNotFoundError: it must exit 1 with a message, not a traceback
+        for argv in ([str(tmp_path), "--embeddings", FIXTURE_EMBEDDINGS],
+                     [FIXTURE_CORPUS, "--embeddings", str(tmp_path)]):
+            code = main(["analyze", *argv, "--out-dir", str(tmp_path / "out")])
+            assert code == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("coreval: error: ")
+
 
 class TestFit:
     def test_fit_csv(self, tmp_path):

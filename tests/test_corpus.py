@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,16 @@ class TestTokenize:
             text = " ".join(fragments[i] for i in rng.integers(0, len(fragments), 4))
             tokens = tokenize(text)
             assert tokenize(" ".join(tokens)) == tokens
+
+    def test_matches_word_boundary_oracle(self):
+        # maximal \w runs are exactly the \b\w+\b matches, also where
+        # lowercasing changes the length (İ) or a combining mark is a \w char
+        rng = np.random.default_rng(12)
+        alphabet = list("abcXYZ_09 ,.'-!\t") + ["\u0301", "\u0308", "İ", "ß", "ẞ", "日", "本",
+                                                 "語", "é", "e\u0301", "Σ", "ς", "١"]
+        for _ in range(2000):
+            text = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(0, 30)))
+            assert tokenize(text) == re.findall(r"\b\w+\b", text.lower()), text
 
 
 class TestParseCorpus:
@@ -157,6 +168,25 @@ class TestExtractNgrams:
         assert table.counts == dict(oracle)
         assert table.total_occurrences == sum(oracle.values())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_slicing_oracle_every_order(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(20):
+            # one-word turns make dialogs of 1-3 tokens, shorter than some n
+            spec = [(f"d{d}", "neutral",
+                     [" ".join(f"w{int(w)}" for w in rng.integers(0, 4, rng.integers(1, 4)))
+                      for _ in range(int(rng.integers(1, 4)))])
+                    for d in range(int(rng.integers(1, 5)))]
+            corpus = make_corpus(spec)
+            oracle: Counter = Counter()
+            for dialog in corpus.dialogs:
+                tokens = dialog.tokens()
+                for i in range(len(tokens) - n + 1):
+                    oracle[tuple(tokens[i : i + n])] += 1
+            table = extract_ngrams(corpus, n)
+            assert table.counts == dict(oracle)
+            assert table.total_occurrences == sum(oracle.values())
+
     def test_total_occurrences_identity(self):
         rng = np.random.default_rng(6)
         for n in (1, 2, 3, 5):
@@ -210,6 +240,13 @@ class TestRankFrequency:
         with pytest.raises(CorpusError, match="no tokens"):
             rank_frequency(corpus)
 
+    def test_order_matches_key_sort_with_ties(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            counts = {f"t{int(i)}": int(rng.integers(1, 4)) for i in rng.permutation(300)}
+            stats = TokenStats.from_counts(counts)
+            assert stats.entries == tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
     def test_token_stats_validates_sort(self):
         with pytest.raises(CorpusError):
             TokenStats(entries=(("a", 1), ("b", 2)), total_tokens=3)
@@ -241,6 +278,25 @@ class TestVocabGrowth:
         corpus = make_corpus([("d1", "neutral", ["a", "b"])])
         with pytest.raises(ValueError):
             vocab_growth(corpus, 0)
+
+    def test_matches_set_loop_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            spec = [(f"d{d}", "neutral",
+                     [" ".join(f"w{int(w)}" for w in rng.integers(0, 25, rng.integers(1, 12)))
+                      for _ in range(int(rng.integers(1, 5)))])
+                    for d in range(int(rng.integers(1, 5)))]
+            corpus = make_corpus(spec)
+            tokens = list(corpus.iter_tokens())
+            n = len(tokens)
+            non_divisor = next(s for s in range(2, n + 2) if n % s)
+            for stride in (1, 2, n, non_divisor, n + 1, 10 * n):
+                seen, points = set(), []
+                for i, token in enumerate(tokens, start=1):
+                    seen.add(token)
+                    if i % stride == 0 or i == n:
+                        points.append((i, len(seen)))
+                assert vocab_growth(corpus, stride).points == tuple(points), stride
 
 
 class TestTfidf:

@@ -104,6 +104,69 @@ def cdist_lloyd(points, centers):
     return labels, centers, inertia
 
 
+def final_assign_lloyd(points, centers):
+    """The Lloyd loop before the fixed-point return, which always ends with
+    one more assignment: the reference for returning at an exact fixed point."""
+    (n, dim), k = points.shape, centers.shape[0]
+    mean = points.mean(axis=0)
+    centered = points - mean
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    tol = 4 * (dim + 2) * np.finfo(np.float64).eps * 2 * sq_norms.max()
+    rows = np.arange(n)
+    diff = np.empty_like(points)
+
+    def assign(centers):
+        d2 = modes.cdist(centered, centers - mean, sq_norms)
+        labels = np.argmin(d2, axis=1)
+        ties = d2 <= d2[rows, labels][:, None] + tol
+        if np.count_nonzero(ties) > n:
+            unsure = np.flatnonzero(ties.sum(axis=1) > 1)
+            close = points[unsure]
+            labels[unsure] = np.argmin(
+                np.stack([np.sum((close - c) ** 2, axis=1) for c in centers], axis=1), axis=1)
+        np.take(centers, labels, axis=0, out=diff, mode="clip")
+        np.subtract(points, diff, out=diff)
+        return labels, np.einsum("ij,ij->i", diff, diff)
+
+    prev_inertia = math.inf
+    for _ in range(modes._MAX_LLOYD_ITERS):
+        labels, nearest = assign(centers)
+        inertia = float(nearest.sum())
+        if inertia > prev_inertia * (1 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means inertia increased from {prev_inertia!r} to {inertia!r}")
+        prev_inertia = inertia
+        new_centers = centers.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centers[j] = points[members].mean(axis=0)
+        empty = [j for j in range(k) if not (labels == j).any()]
+        if empty:
+            claimed = set()
+            order = np.argsort(-nearest)
+            for j in empty:
+                for cand in order:
+                    if int(cand) not in claimed:
+                        claimed.add(int(cand))
+                        new_centers[j] = points[cand]
+                        break
+        shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        centers = new_centers
+        if shift < modes._CENTROID_SHIFT_TOL and not empty:
+            break
+    labels, nearest = assign(centers)
+    return labels, centers, float(nearest.sum())
+
+
+def signed_zero_grid(seed):
+    """Points on a {-1, 0, 1} grid with some zeros negative, repeated rows included."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-1, 2, size=(int(rng.integers(4, 60)), int(rng.integers(1, 6))))
+    points = points.astype(np.float64)
+    points[(points == 0) & (rng.random(points.shape) < 0.5)] = -0.0
+    return points
+
+
 def far_from_origin(seed):
     return 1e7 + np.random.default_rng(seed).normal(size=(60, 3)) * 1e4
 
@@ -196,6 +259,20 @@ class TestClusterModes:
         points = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
         assignment = cluster_modes(points, k_max=10, seed=42)
         assert assignment.k == 2
+
+    def test_rows_differing_in_zero_sign_count_once(self, monkeypatch):
+        # as in np.unique, -0.0 equals 0.0: these rows are all one point
+        calls = []
+        monkeypatch.setattr(modes, "cdist", lambda *args: calls.append(args))
+        monkeypatch.setattr(modes, "_pairwise_distances", lambda p: calls.append(p))
+        same = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        assignment = cluster_modes(same, k_max=5, seed=42)
+        assert assignment.k == 1
+        assert np.array_equal(assignment.labels, np.zeros(4, dtype=np.int64))
+        assert calls == []
+        monkeypatch.undo()
+        two = np.vstack([same, [[-0.0, 5.0], [0.0, 5.0]]])
+        assert cluster_modes(two, k_max=10, seed=42).k == 2
 
     def test_translation_invariance(self):
         # data quantized to 1/1024 so adding 1024 is exact in float64 and the
@@ -438,6 +515,50 @@ class TestLloyd:
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
         assert fast.inertia == pytest.approx(slow.inertia, rel=1e-9, abs=0.0)
+
+
+class TestFixedPoint:
+    def test_start_at_exact_means_assigns_once(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        points, truth = gaussian_blobs(rng, np.eye(3) * 50.0, 30)
+        start = np.stack([points[truth == j].mean(axis=0) for j in range(3)])
+        calls = []
+        real = modes.cdist
+
+        def counting_cdist(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(modes, "cdist", counting_cdist)
+        labels, centers, inertia = modes._lloyd(points, start.copy())
+        assert calls == [3]
+        assert np.array_equal(labels, truth)
+        assert np.array_equal(centers, start)
+        assert inertia == pytest.approx(float(np.sum((points - start[truth]) ** 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
+    def test_matches_final_assign_reference(self, monkeypatch, points, k_max):
+        fast = cluster_modes(points, k_max=k_max, seed=42)
+        monkeypatch.setattr(modes, "_lloyd", final_assign_lloyd)
+        slow = cluster_modes(points, k_max=k_max, seed=42)
+        assert fast.k == slow.k
+        assert fast.labels.tobytes() == slow.labels.tobytes()
+        assert fast.centroids.tobytes() == slow.centroids.tobytes()
+        assert fast.inertia == slow.inertia
+
+    def test_signed_zeros_match_final_assign_reference(self):
+        # -0.0 and 0.0 compare equal in the fixed-point test, but the centroids
+        # returned must carry the same bits as after a final assignment
+        rng = np.random.default_rng(17)
+        for seed in range(40):
+            points = signed_zero_grid(seed)
+            k = int(rng.integers(1, min(len(points), 6) + 1))
+            start = points[rng.choice(len(points), k, replace=False)]
+            got = modes._lloyd(points, start.copy())
+            want = final_assign_lloyd(points, start.copy())
+            assert got[0].tobytes() == want[0].tobytes(), seed
+            assert got[1].tobytes() == want[1].tobytes(), seed
+            assert got[2] == want[2], seed
 
 
 class TestSeeding:
