@@ -208,9 +208,12 @@ def _matrices_for(args, corpora):
 
 def cmd_analyze(args, argv) -> int:
     started = utc_now()
-    config = _analyze_config(args)  # validates kmax/ngram before any work
+    config = _analyze_config(args)  # validates kmax/ngram/seeds before any work
     out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
+    for path, corpus in zip(args.inputs, corpora):
+        if not corpus.dialogs:
+            raise ValidationError(f"{path}: no dialogs to analyze")
     matrices = _matrices_for(args, corpora)
 
     analyses = [analyze_corpus(path, corpus, matrix, config)

@@ -60,6 +60,8 @@ class CoreConfig:
             raise ValueError(f"ngram_n must be >= 1, got {self.ngram_n}")
         if self.k_max < 2:
             raise ValueError(f"k_max must be >= 2, got {self.k_max}")
+        if self.cluster_seed < 0:
+            raise ValueError(f"cluster_seed must be >= 0, got {self.cluster_seed}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta),
                             ("fallback_exponent", self.fallback_exponent)):
             if not (value > 0 and math.isfinite(value)):

@@ -10,15 +10,21 @@ centered on their mean; it differs from the direct difference form by a few
 1e-15 of the largest squared distance (the tests bound it at 1e-13).  Every
 K's k-means++ seeds are drawn from its rows, since every seed is a data
 point; the matrix then becomes the Euclidean one in place, which every K's
-silhouette reads.  So memory is O(n^2): one n x n float64 array, 6.5 MB at
-900 utterances.  Lloyd's point-to-centroid distances are in the same Gram
-form (one n x K product per iteration) and their argmin sets the labels;
-a point whose two nearest centroids are within the Gram form's rounding of
-each other is assigned from the exact differences instead.  The inertia and
-each point's distance to its own centroid are summed from the exact
-differences, so the inertia guard stays exact.  Cluster sizes come from
-one ``bincount``; at an exact fixed point Lloyd returns the assignment just
-made, which another one would repeat bit for bit.
+silhouette reads from one n x K product with the one-hot labels.  So memory
+is O(n^2): one n x n float64 array, 6.5 MB at 900 utterances.
+
+Every K's Lloyd run reads one frame built once per call: the rows, their
+column mean, the centered rows and their squared norms, the near-tie
+tolerance and one n x d scratch buffer.  Lloyd's point-to-centroid
+distances are in the same Gram form (one n x K product per iteration) and
+their argmin sets the labels; a point whose two nearest centroids are
+within the Gram form's rounding of each other is assigned from the exact
+differences instead.  The inertia and each point's distance to its own
+centroid are summed from the exact differences, so the inertia guard stays
+exact.  Cluster sizes come from one ``bincount``, and the centroid means
+from one gather of the rows in label order.  At an exact fixed point
+(no centroid moved) Lloyd returns the assignment just made, which another
+one would repeat bit for bit.
 
 The implementation is deliberately self-contained so runs are
 bit-reproducible given a seed: assignment ties resolve to the lowest cluster
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +92,10 @@ def _kmeans_pp_init(points: np.ndarray, sq_dist: np.ndarray, k: int,
 
     The centers are data points, so a center's squared distances to every
     point are its row of ``sq_dist``, the n x n squared distance matrix.
+    Each draw is ``Generator.choice(n, p=d2 / total)``'s own algorithm (one
+    uniform draw searched in the normalized cumulative sum), without its
+    per-call validation of ``p``: the index and the generator state are the
+    same.
     """
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
@@ -94,26 +105,26 @@ def _kmeans_pp_init(points: np.ndarray, sq_dist: np.ndarray, k: int,
         if total <= 0:  # all remaining points coincide with chosen centers
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = np.cumsum(d2 / total)
+            idx = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
         chosen.append(idx)
         np.minimum(d2, sq_dist[idx], out=d2)
     return points[chosen]
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations until the max centroid shift drops below tolerance.
+class _Frame(NamedTuple):
+    """What every K's Lloyd run reads from the same rows, built once per call."""
+    points: np.ndarray
+    mean: np.ndarray
+    centered: np.ndarray  # points - mean
+    sq_norms: np.ndarray  # squared norms of the centered rows
+    tol: float  # Gram-form entries closer than this to a row's minimum are near ties
+    rows: np.ndarray  # arange(n)
+    buf: np.ndarray  # n x d scratch, C order so a run of rows is one contiguous block
 
-    Labels come from the Gram-form ``cdist`` of the points and centers
-    centered on the points' mean, or from the exact differences where the
-    two nearest centers are within its rounding.  The inertia, and each
-    point's distance to its own center, are summed from the exact
-    differences in one n x d buffer.  Cluster sizes come from one
-    ``bincount``; empty clusters are reseeded to the points farthest from
-    their centroids, which keeps inertia non-increasing; an increase beyond
-    rounding raises RuntimeError.  At an exact fixed point, with no cluster
-    empty, the assignment just made is returned: a last one would repeat it.
-    """
-    (n, dim), k = points.shape, centers.shape[0]
+
+def _frame(points: np.ndarray) -> _Frame:
+    n, dim = points.shape
     mean = points.mean(axis=0)
     centered = points - mean
     sq_norms = np.einsum("ij,ij->i", centered, centered)
@@ -123,8 +134,50 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     # are near ties (tight clusters far from the mean), decided from the
     # exact differences.
     tol = 4 * (dim + 2) * np.finfo(np.float64).eps * 2 * sq_norms.max()
-    rows = np.arange(n)
-    diff = np.empty_like(points)
+    # one buffer for every K and iteration: a fresh n x d array each time
+    # costs its page faults each time
+    return _Frame(points, mean, centered, sq_norms, tol, np.arange(n), np.empty((n, dim)))
+
+
+def _cluster_means(frame: _Frame, labels: np.ndarray, sizes: np.ndarray,
+                   centers: np.ndarray) -> np.ndarray:
+    """A copy of ``centers`` with each non-empty cluster's row set to its mean.
+
+    The rows are gathered once into the frame's buffer in stable label
+    order, so cluster j's members are one contiguous C-order block in corpus
+    order, and numpy's axis-0 sum of such a block adds its rows one after
+    another: the same bytes as ``points[labels == j].mean(axis=0)``.
+    """
+    buf = frame.buf
+    np.take(frame.points, np.argsort(labels, kind="stable"), axis=0, out=buf, mode="clip")
+    means = centers.copy()
+    lo = 0
+    for j, hi in enumerate(np.cumsum(sizes).tolist()):
+        if hi > lo:
+            means[j] = np.add.reduce(buf[lo:hi], axis=0) / (hi - lo)
+        lo = hi
+    return means
+
+
+def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations until the max centroid shift drops below tolerance.
+
+    ``frame`` holds the rows, their centered copy, squared norms and near-tie
+    tolerance and an n x d scratch buffer, built once per ``cluster_modes``
+    call.  Labels come from the Gram-form ``cdist`` of the centered points
+    and centers, or from the exact differences where the two nearest centers
+    are within its rounding.  The inertia, and each point's distance to its
+    own center, are summed from the exact differences in the buffer.
+    Cluster sizes come from one ``bincount`` and the means from one gather
+    of the rows in label order (``_cluster_means``).  Empty clusters are
+    reseeded to the points farthest from their centroids, which keeps
+    inertia non-increasing; an increase beyond rounding raises RuntimeError.
+    When no center moved (``new - old`` is exactly 0 only where they are
+    equal) and no cluster is empty, the assignment just made is returned:
+    a last one would repeat it.
+    """
+    points, mean, centered, sq_norms, tol, rows, buf = frame
+    n, k = points.shape[0], centers.shape[0]
 
     def assign(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d2 = cdist(centered, centers - mean, sq_norms)
@@ -135,12 +188,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
             close = points[unsure]
             labels[unsure] = np.argmin(
                 np.stack([np.sum((close - c) ** 2, axis=1) for c in centers], axis=1), axis=1)
-        # into the buffer: a fresh n x d array per iteration costs its page
-        # faults each time; "clip" skips the copy of ``out`` that take makes
-        # to check bounds (argmin labels are in range)
-        np.take(centers, labels, axis=0, out=diff, mode="clip")
-        np.subtract(points, diff, out=diff)
-        return labels, np.einsum("ij,ij->i", diff, diff)
+        # "clip" skips the copy of ``out`` that take makes to check bounds
+        # (argmin labels are in range)
+        np.take(centers, labels, axis=0, out=buf, mode="clip")
+        np.subtract(points, buf, out=buf)
+        return labels, np.einsum("ij,ij->i", buf, buf)
 
     prev_inertia = math.inf
     for _ in range(_MAX_LLOYD_ITERS):
@@ -152,16 +204,15 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
         prev_inertia = inertia
 
         sizes = np.bincount(labels, minlength=k)
-        new_centers = centers.copy()
-        for j in np.flatnonzero(sizes):
-            new_centers[j] = points[labels == j].mean(axis=0)
+        new_centers = _cluster_means(frame, labels, sizes, centers)
         # reseed empties after the mean update so the farthest point is current
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
             new_centers[empty] = points[np.argsort(-nearest)[:empty.size]]
-        elif np.array_equal(new_centers, centers):
+        moved = new_centers - centers
+        if not empty.size and not moved.any():
             return labels, new_centers, inertia
-        shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        shift = float(np.sqrt(np.sum(moved ** 2, axis=1)).max())
         centers = new_centers
         if shift < _CENTROID_SHIFT_TOL and not empty.size:
             break
@@ -189,20 +240,26 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
 
 
 def _mean_silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Mean silhouette from the pairwise distance matrix; singleton clusters contribute 0."""
+    """Mean silhouette from the pairwise distance matrix; singleton clusters contribute 0.
+
+    One n x K product ``dist @ onehot(labels)`` gives every point's distance
+    sum to every cluster; ``a`` (own cluster, itself excluded) and ``b``
+    (nearest other non-empty cluster) are read off it as whole arrays.
+    """
     n = labels.shape[0]
+    rows = np.arange(n)
     sizes = np.bincount(labels, minlength=k)
-    a = np.zeros(n)
-    b = np.full(n, math.inf)
-    for j in np.flatnonzero(sizes):
-        members = labels == j
-        others = ~members
-        sums = dist @ members.astype(np.float64)  # each point's distance sum to cluster j
-        if sizes[j] > 1:
-            a[members] = sums[members] / (sizes[j] - 1)
-        b[others] = np.minimum(b[others], sums[others] / sizes[j])
+    onehot = np.zeros((n, k))
+    onehot[rows, labels] = 1.0
+    sums = dist @ onehot
+    own_sizes = sizes[labels]
+    a = sums[rows, labels] / np.maximum(own_sizes - 1, 1)
+    means = sums / np.maximum(sizes, 1)
+    means[:, sizes == 0] = math.inf
+    means[rows, labels] = math.inf
+    b = means.min(axis=1)
     denom = np.maximum(a, b)
-    scored = (sizes[labels] > 1) & (denom != 0)
+    scored = (own_sizes > 1) & (denom != 0)
     scores = np.zeros(n)
     scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(scores.mean())
@@ -217,10 +274,11 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     (``_pairwise_distances``: centered rows, one BLAS product).  Every K's
     k-means++ seeds are drawn from its rows first; then its square root,
     taken in place, serves every K's silhouette.  That takes O(n^2) memory:
-    one n x n array, 6.5 MB at n = 900.  Lloyd assigns labels by Gram-form
-    distances to the centroids, deciding near ties and summing its inertia
-    from the exact differences.  A matrix whose rows are all identical yields the
-    degenerate single-mode assignment k=1.
+    one n x n array, 6.5 MB at n = 900.  Every K's Lloyd run reads one
+    ``_frame`` of the rows, built once per call; it assigns labels by
+    Gram-form distances to the centroids, deciding near ties and summing its
+    inertia from the exact differences.  A matrix whose rows are all
+    identical yields the degenerate single-mode assignment k=1.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
@@ -240,9 +298,12 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     # Euclidean one in place, so one n x n array is alive
     starts = [_kmeans_pp_init(points, sq_dist, k, np.random.default_rng([seed, k])) for k in ks]
     dist = np.sqrt(sq_dist, out=sq_dist)
+    # built after the Gram-form temporaries are freed, so its two n x d
+    # arrays are never alive next to them
+    frame = _frame(points)
     best: tuple[float, int, np.ndarray, np.ndarray, float] | None = None
     for k, centers in zip(ks, starts):
-        labels, centroids, inertia = _lloyd(points, centers)
+        labels, centroids, inertia = _lloyd(frame, centers)
         score = _mean_silhouette(dist, labels, k)
         if best is None or score > best[0]:
             best = (score, k, labels, centroids, inertia)

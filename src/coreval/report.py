@@ -174,16 +174,36 @@ def write_summary_csv(analyses: list[CorpusAnalysis], fh: IO[str], ddof: int = 0
             ]) + "\n")
 
 
+def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[dict[str, str]]:
+    """Rows of a CSV whose header names every ``required`` column.
+
+    A missing column, in the header or in a short row, raises ValueError
+    naming the file, the line and the column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or ()
+        for column in required:
+            if column not in header:
+                raise ValueError(f"{path}: line 1: header has no {column!r} column")
+        in_order = [column for column in header if column in required]
+        rows = []
+        for row in reader:
+            for column in in_order:
+                if row[column] is None:
+                    raise ValueError(f"{path}: line {reader.line_num}: "
+                                     f"row ends before column {column!r}")
+            rows.append(row)
+    return rows
+
+
 def read_condition_samples(paths: Iterable[str | Path]) -> dict[str, dict[str, list[float]]]:
     """Read condition-sample CSVs into {metric: {condition: values}}."""
     grouped: dict[str, dict[str, list[float]]] = {m: {} for m in COMPARE_METRICS}
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                condition = row["condition"]
-                for metric in COMPARE_METRICS:
-                    grouped[metric].setdefault(condition, []).append(float(row[metric]))
+        for row in _read_csv(path, ("condition", *COMPARE_METRICS)):
+            condition = row["condition"]
+            for metric in COMPARE_METRICS:
+                grouped[metric].setdefault(condition, []).append(float(row[metric]))
     return grouped
 
 
@@ -222,11 +242,10 @@ def temporal_rows(per_dialog_paths: Iterable[str | Path]) -> list[list[str]]:
     """Average score per (condition, agent_a, dialog_index) from per-dialog CSVs."""
     groups: dict[tuple[str, str, int], list[float]] = {}
     for path in per_dialog_paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                agent_a, index = parse_dialog_index(row["dialog_id"])
-                key = (row["condition"], agent_a, index)
-                groups.setdefault(key, []).append(float(row["core"]))
+        for row in _read_csv(path, ("dialog_id", "condition", "core")):
+            agent_a, index = parse_dialog_index(row["dialog_id"])
+            key = (row["condition"], agent_a, index)
+            groups.setdefault(key, []).append(float(row["core"]))
     rows = []
     for (condition, agent_a, index) in sorted(groups):
         values = groups[(condition, agent_a, index)]

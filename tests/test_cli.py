@@ -155,6 +155,25 @@ class TestAnalyze:
             assert code == EXIT_VALIDATION
             assert capsys.readouterr().err.startswith("coreval: error: ")
 
+    def test_input_without_dialogs_is_validation_error(self, tmp_path, capsys):
+        # checked before embeddings are loaded, which would stack zero rows
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        code = main(["analyze", str(empty), "--embeddings", FIXTURE_EMBEDDINGS,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"coreval: error: {empty}: no dialogs to analyze\n"
+
+    def test_negative_cluster_seed_is_validation_error_before_work(self, tmp_path, capsys):
+        # the missing embeddings file shows that no input is read first
+        for flags in (["--cluster-seed", "-1"], ["--seed", "-5"]):
+            out = tmp_path / "out"
+            code = main(["analyze", FIXTURE_CORPUS, "--embeddings", str(tmp_path / "none.jsonl"),
+                         *flags, "--out-dir", str(out)])
+            assert code == EXIT_VALIDATION
+            assert "cluster_seed must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestFit:
     def test_fit_csv(self, tmp_path):
@@ -253,6 +272,20 @@ class TestCompare:
         path = self._samples_csv(tmp_path, [["c", "neutral", 1.5, 0.6, 0.2, 10, 50]])
         assert main(["compare", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_header_without_condition_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text("corpus,zipf_alpha,heaps_beta,core\nc,1.5,0.6,0.2\n")
+        assert main(["compare", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"coreval: error: {path}: line 1: header has no 'condition' column\n"
+
+    def test_short_row_is_validation_error(self, tmp_path, capsys):
+        path = self._samples_csv(tmp_path, [["c0", "neutral", 1.5, 0.6, 0.2, 10, 50],
+                                            ["x", "cooperative"]])
+        assert main(["compare", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"coreval: error: {path}: line 3: row ends before column 'zipf_alpha'\n"
+
 
 class TestReport:
     def _per_dialog_csv(self, tmp_path, rows):
@@ -304,6 +337,13 @@ class TestReport:
     def test_unparseable_dialog_id(self, tmp_path):
         path = self._per_dialog_csv(tmp_path, [["nodelimiters", "neutral", 0.1, 1, 1, 1, ""]])
         assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    def test_header_without_dialog_id_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "per_dialog.csv"
+        path.write_text("condition,core\nneutral,0.1\n")
+        assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"coreval: error: {path}: line 1: header has no 'dialog_id' column\n"
 
 
 class TestGenerate:

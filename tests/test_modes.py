@@ -158,6 +158,111 @@ def final_assign_lloyd(points, centers):
     return labels, centers, float(nearest.sum())
 
 
+def choice_kmeans_pp_init(points, sq_dist, k, rng):
+    """k-means++ seeding that draws each seed with ``Generator.choice``: the
+    reference for the draw without choice's validation of ``p``."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = sq_dist[chosen[0]].copy()
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        np.minimum(d2, sq_dist[idx], out=d2)
+    return points[chosen]
+
+
+def masked_mean_lloyd(points, centers):
+    """Lloyd that builds its centered rows, tie tolerance and buffer on every
+    call, takes one masked ``.mean`` per cluster and tests the fixed point
+    with ``np.array_equal``: the reference for the shared frame, the
+    one-gather means and the exact ``new - old`` fixed-point test."""
+    (n, dim), k = points.shape, centers.shape[0]
+    mean = points.mean(axis=0)
+    centered = points - mean
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    tol = 4 * (dim + 2) * np.finfo(np.float64).eps * 2 * sq_norms.max()
+    rows = np.arange(n)
+    diff = np.empty_like(points)
+
+    def assign(centers):
+        d2 = modes.cdist(centered, centers - mean, sq_norms)
+        labels = np.argmin(d2, axis=1)
+        ties = d2 <= d2[rows, labels][:, None] + tol
+        if np.count_nonzero(ties) > n:
+            unsure = np.flatnonzero(ties.sum(axis=1) > 1)
+            close = points[unsure]
+            labels[unsure] = np.argmin(
+                np.stack([np.sum((close - c) ** 2, axis=1) for c in centers], axis=1), axis=1)
+        np.take(centers, labels, axis=0, out=diff, mode="clip")
+        np.subtract(points, diff, out=diff)
+        return labels, np.einsum("ij,ij->i", diff, diff)
+
+    prev_inertia = math.inf
+    for _ in range(modes._MAX_LLOYD_ITERS):
+        labels, nearest = assign(centers)
+        inertia = float(nearest.sum())
+        if inertia > prev_inertia * (1 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means inertia increased from {prev_inertia!r} to {inertia!r}")
+        prev_inertia = inertia
+        sizes = np.bincount(labels, minlength=k)
+        new_centers = centers.copy()
+        for j in np.flatnonzero(sizes):
+            new_centers[j] = points[labels == j].mean(axis=0)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            new_centers[empty] = points[np.argsort(-nearest)[:empty.size]]
+        elif np.array_equal(new_centers, centers):
+            return labels, new_centers, inertia
+        shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        centers = new_centers
+        if shift < modes._CENTROID_SHIFT_TOL and not empty.size:
+            break
+    labels, nearest = assign(centers)
+    return labels, centers, float(nearest.sum())
+
+
+def matvec_silhouette(dist, labels, k):
+    """Mean silhouette from one matrix-vector product per cluster: the
+    reference for the one-product form."""
+    n = labels.shape[0]
+    sizes = np.bincount(labels, minlength=k)
+    a = np.zeros(n)
+    b = np.full(n, math.inf)
+    for j in np.flatnonzero(sizes):
+        members = labels == j
+        others = ~members
+        sums = dist @ members.astype(np.float64)
+        if sizes[j] > 1:
+            a[members] = sums[members] / (sizes[j] - 1)
+        b[others] = np.minimum(b[others], sums[others] / sizes[j])
+    denom = np.maximum(a, b)
+    scored = (sizes[labels] > 1) & (denom != 0)
+    scores = np.zeros(n)
+    scores[scored] = (b[scored] - a[scored]) / denom[scored]
+    return float(scores.mean())
+
+
+def draw_weights(kind, n, rng):
+    """Weights for k-means++ draws: all zero, uniform, half zeros, one
+    nonzero entry, or spread over 600 orders of magnitude."""
+    if kind == "all_zero":
+        return np.zeros(n)
+    if kind == "one_nonzero":
+        w = np.zeros(n)
+        w[int(rng.integers(n))] = rng.random() + 0.5
+        return w
+    w = rng.random(n)
+    if kind == "zeros":
+        w[rng.random(n) < 0.5] = 0.0
+    elif kind == "wide_range":
+        w = 10.0 ** rng.uniform(-300, 300, n)
+    return w
+
+
 def signed_zero_grid(seed):
     """Points on a {-1, 0, 1} grid with some zeros negative, repeated rows included."""
     rng = np.random.default_rng(seed)
@@ -491,7 +596,7 @@ class TestLloyd:
         monkeypatch.setattr(modes, "cdist", farthest_after_first)
         points = np.random.default_rng(9).normal(size=(20, 2))
         with pytest.raises(RuntimeError, match="inertia increased"):
-            modes._lloyd(points, points[:2].copy())
+            modes._lloyd(modes._frame(points), points[:2].copy())
 
     def test_cdist_matches_scipy(self):
         rng = np.random.default_rng(13)
@@ -510,7 +615,8 @@ class TestLloyd:
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_matches_cdist_oracle(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_lloyd", cdist_lloyd)
+        monkeypatch.setattr(modes, "_lloyd",
+                            lambda frame, centers: cdist_lloyd(frame.points, centers))
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
@@ -530,7 +636,7 @@ class TestFixedPoint:
             return real(*args)
 
         monkeypatch.setattr(modes, "cdist", counting_cdist)
-        labels, centers, inertia = modes._lloyd(points, start.copy())
+        labels, centers, inertia = modes._lloyd(modes._frame(points), start.copy())
         assert calls == [3]
         assert np.array_equal(labels, truth)
         assert np.array_equal(centers, start)
@@ -539,7 +645,8 @@ class TestFixedPoint:
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_matches_final_assign_reference(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_lloyd", final_assign_lloyd)
+        monkeypatch.setattr(modes, "_lloyd",
+                            lambda frame, centers: final_assign_lloyd(frame.points, centers))
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert fast.labels.tobytes() == slow.labels.tobytes()
@@ -554,7 +661,7 @@ class TestFixedPoint:
             points = signed_zero_grid(seed)
             k = int(rng.integers(1, min(len(points), 6) + 1))
             start = points[rng.choice(len(points), k, replace=False)]
-            got = modes._lloyd(points, start.copy())
+            got = modes._lloyd(modes._frame(points), start.copy())
             want = final_assign_lloyd(points, start.copy())
             assert got[0].tobytes() == want[0].tobytes(), seed
             assert got[1].tobytes() == want[1].tobytes(), seed
@@ -570,3 +677,80 @@ class TestSeeding:
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
+
+
+    @pytest.mark.parametrize("kind", ["all_zero", "uniform", "zeros", "one_nonzero", "wide_range"])
+    def test_draw_matches_choice(self, kind):
+        # every row of the matrix is the same weight vector, so every draw
+        # after the first is weighted by it; the seeds are the row indices
+        rng = np.random.default_rng(19)
+        for n in (*range(1, 13), 50, 257, 999, 1000):
+            w = draw_weights(kind, n, rng)
+            sq_dist = np.broadcast_to(w, (n, n))
+            points = np.arange(n, dtype=np.float64)[:, None]
+            for seed in range(4):
+                got_rng, want_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+                got = modes._kmeans_pp_init(points, sq_dist, 8, got_rng)
+                want = choice_kmeans_pp_init(points, sq_dist, 8, want_rng)
+                assert got.tobytes() == want.tobytes(), (kind, n, seed)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (kind, n, seed)
+
+    def test_gram_matrix_draws_match_choice(self):
+        for name, points, k_max in blob_sets():
+            sq_dist = modes._pairwise_distances(points)
+            for k in range(2, k_max + 1):
+                got_rng, want_rng = np.random.default_rng([42, k]), np.random.default_rng([42, k])
+                got = modes._kmeans_pp_init(points, sq_dist, k, got_rng)
+                want = choice_kmeans_pp_init(points, sq_dist, k, want_rng)
+                assert got.tobytes() == want.tobytes(), (name, k)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (name, k)
+
+
+class TestSharedFrame:
+    def test_cluster_means_match_masked_mean(self):
+        rng = np.random.default_rng(20)
+        for trial in range(240):
+            if trial % 4 == 3:  # signed zeros, whose sign a mean must keep
+                points = signed_zero_grid(trial)
+            else:
+                n, dim = int(rng.integers(1, 200)), int(rng.integers(1, 40))
+                points = rng.normal(size=(n, dim)) * rng.random() * 10 + (0.0, 1e3, 1e7)[trial % 3]
+            n, dim = points.shape
+            k = int(rng.integers(1, 12))
+            labels = rng.integers(0, k, n)
+            labels[labels == k - 1] = 0  # id k - 1 empty, and others when n is small
+            sizes = np.bincount(labels, minlength=k)
+            centers = rng.normal(size=(k, dim))
+            before = centers.tobytes()
+            got = modes._cluster_means(modes._frame(points), labels, sizes, centers)
+            assert centers.tobytes() == before
+            for j in range(k):
+                want = points[labels == j].mean(axis=0) if sizes[j] else centers[j]
+                assert got[j].tobytes() == want.tobytes(), (trial, j)
+
+    @staticmethod
+    def per_call_reference(monkeypatch, points, k_max, seed):
+        with monkeypatch.context() as patch:
+            patch.setattr(modes, "_kmeans_pp_init", choice_kmeans_pp_init)
+            patch.setattr(modes, "_lloyd",
+                          lambda frame, centers: masked_mean_lloyd(frame.points, centers))
+            patch.setattr(modes, "_mean_silhouette", matvec_silhouette)
+            return cluster_modes(points, k_max=k_max, seed=seed)
+
+    @staticmethod
+    def assert_same(fast, slow):
+        assert fast.k == slow.k
+        assert fast.labels.tobytes() == slow.labels.tobytes()
+        assert fast.centroids.tobytes() == slow.centroids.tobytes()
+        assert fast.inertia == slow.inertia
+
+    @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
+    def test_matches_per_call_reference(self, monkeypatch, points, k_max):
+        fast = cluster_modes(points, k_max=k_max, seed=42)
+        self.assert_same(fast, self.per_call_reference(monkeypatch, points, k_max, 42))
+
+    def test_signed_zero_grids_match_per_call_reference(self, monkeypatch):
+        for seed in range(40):
+            points = signed_zero_grid(seed)
+            fast = cluster_modes(points, k_max=6, seed=seed)
+            self.assert_same(fast, self.per_call_reference(monkeypatch, points, 6, seed))
