@@ -1,14 +1,18 @@
 """Per-dialog behavioral metrics: cue rates, lexical repetition, sentiment, toxicity.
 
 Agreement / disagreement / hedging cues are matched against editable phrase
-lexicons (bundled defaults under coreval/data); sentiment is the mean
-polarity of matched words from a bundled word-polarity lexicon.  Toxicity is
-optional and comes from an external classifier endpoint.
+lexicons (bundled defaults under coreval/data), through an index of each
+lexicon's phrase lengths by first token; sentiment is the mean polarity of
+matched words from a bundled word-polarity lexicon.  Toxicity is optional
+and comes from an external classifier endpoint: ``toxicity`` scores many
+texts at once, in batches of up to ``TOXICITY_BATCH`` texts with a bounded
+number of requests in flight, so a caller scores every dialog in one call.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,6 +25,7 @@ from .metric import repeated_fraction
 logger = logging.getLogger(__name__)
 
 CUE_NAMES = ("agreement", "disagreement", "hedging")
+TOXICITY_BATCH = 32  # texts per toxicity request, the same as the embedding batch default
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,12 @@ class CueLexicon:
             raise ValueError(f"{self.name} lexicon is empty")
         if any(not 1 <= len(p) <= 3 for p in self.phrases):
             raise ValueError(f"{self.name} lexicon phrases must be 1-3 tokens")
+        lengths: dict[str, set[int]] = {}
+        for phrase in self.phrases:
+            lengths.setdefault(phrase[0], set()).add(len(phrase))
+        # first token -> lengths of the phrases it starts, longest first
+        object.__setattr__(self, "_lengths_by_first",
+                           {tok: sorted(ls, reverse=True) for tok, ls in lengths.items()})
 
 
 @dataclass(frozen=True)
@@ -91,18 +102,21 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> dict[str, float]:
 def cue_rate(tokens: Sequence[str], lexicon: CueLexicon) -> float:
     """Non-overlapping, longest-match-first phrase matches per token.
 
-    Scans left to right over the dialog's concatenated token stream; the
-    count of matches is divided by the total token count.
+    Scans left to right over the dialog's concatenated token stream.  At
+    each position only the lengths of the phrases that start with that
+    token are tried, longest first; a match consumes its tokens.  The count
+    of matches is divided by the total token count.
     """
     if not tokens:
         raise ValueError("cue_rate undefined for an empty dialog")
-    max_len = max(len(p) for p in lexicon.phrases)
+    lengths_by_first = lexicon._lengths_by_first
+    phrases = lexicon.phrases
     matches = 0
     i = 0
     n = len(tokens)
     while i < n:
-        for length in range(min(max_len, n - i), 0, -1):
-            if tuple(tokens[i : i + length]) in lexicon.phrases:
+        for length in lengths_by_first.get(tokens[i], ()):
+            if length <= n - i and tuple(tokens[i : i + length]) in phrases:
                 matches += 1
                 i += length
                 break
@@ -136,46 +150,59 @@ def sentiment(text: str, lexicon: dict[str, float] | None = None) -> float:
     return sum(values) / len(values)
 
 
-def toxicity(endpoint: str, text: str, *, retries: int = 3, backoff: float = 0.5,
-             timeout: float = 30.0) -> float:
-    """Score one text via the toxicity wire protocol.
+def dialog_text(dialog: Dialog) -> str:
+    """The dialog's utterances joined by single spaces: the text sentiment and
+    toxicity score."""
+    return " ".join(u.text for u in dialog.utterances)
 
-    POST {endpoint} {"texts": [text]} -> {"scores": [s]} with s in [0, 1].
-    Transient failures are retried like the embedding client.
+
+def toxicity(endpoint: str, texts: Sequence[str], *, max_inflight: int = 4,
+             retries: int = 3, backoff: float = 0.5, timeout: float = 30.0) -> list[float]:
+    """Score texts via the toxicity wire protocol, one score per text in input order.
+
+    POST {endpoint} {"texts": [batch...]} -> {"scores": [s, ...]}, one s in
+    [0, 1] per text, for batches of at most ``TOXICITY_BATCH`` texts.  Up to
+    ``max_inflight`` batches are in flight concurrently.  Transient failures
+    are retried like the embedding client; a malformed reply raises
+    EndpointError.
     """
-    data = post_json(endpoint, {"texts": [text]}, retries=retries, backoff=backoff,
-                     timeout=timeout)
-    scores = data.get("scores")
-    if not isinstance(scores, list) or len(scores) != 1:
-        raise EndpointError(f"toxicity endpoint returned malformed scores: {scores!r}")
-    score = scores[0]
-    if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
-        raise EndpointError(f"toxicity score out of range [0, 1]: {score!r}")
-    return float(score)
+    batches = [texts[i : i + TOXICITY_BATCH] for i in range(0, len(texts), TOXICITY_BATCH)]
+
+    def score_one(batch: Sequence[str]) -> list[float]:
+        data = post_json(endpoint, {"texts": batch}, retries=retries, backoff=backoff,
+                         timeout=timeout)
+        scores = data.get("scores") if isinstance(data, dict) else None
+        if not isinstance(scores, list) or len(scores) != len(batch):
+            raise EndpointError(f"toxicity endpoint returned malformed scores for a batch "
+                                f"of {len(batch)}: {scores!r:.200}")
+        for score in scores:
+            # a JSON true decodes to bool, an int subclass, and is no score
+            number = isinstance(score, (int, float)) and not isinstance(score, bool)
+            if not number or not 0.0 <= score <= 1.0:
+                raise EndpointError(f"toxicity score out of range [0, 1]: {score!r}")
+        return [float(score) for score in scores]
+
+    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
+        return [score for batch in pool.map(score_one, batches) for score in batch]
 
 
 def behavior_profile(dialog: Dialog, *, ngram_n: int = 3,
                      cue_lexicons: dict[str, CueLexicon] | None = None,
-                     sentiment_lexicon: dict[str, float] | None = None,
-                     toxicity_endpoint: str | None = None,
-                     retries: int = 3, backoff: float = 0.5,
-                     timeout: float = 30.0) -> BehaviorProfile:
-    """All behavioral metrics for one dialog, over its concatenated text."""
+                     sentiment_lexicon: dict[str, float] | None = None) -> BehaviorProfile:
+    """All lexical behavioral metrics for one dialog, over its concatenated text.
+
+    Toxicity is left absent: score it for many dialogs at once with
+    ``toxicity`` over their ``dialog_text``.
+    """
     if cue_lexicons is None:
         cue_lexicons = default_cue_lexicons()
     tokens = dialog.tokens()
     if not tokens:
         raise ValueError(f"dialog {dialog.id!r} has no tokens")
-    text = " ".join(u.text for u in dialog.utterances)
-    tox = None
-    if toxicity_endpoint is not None:
-        tox = toxicity(toxicity_endpoint, text, retries=retries, backoff=backoff,
-                       timeout=timeout)
     return BehaviorProfile(
         repetition_rate=repetition_rate(tokens, ngram_n),
         agreement_rate=cue_rate(tokens, cue_lexicons["agreement"]),
         disagreement_rate=cue_rate(tokens, cue_lexicons["disagreement"]),
         hedging_rate=cue_rate(tokens, cue_lexicons["hedging"]),
-        sentiment=sentiment(text, sentiment_lexicon),
-        toxicity=tox,
+        sentiment=sentiment(dialog_text(dialog), sentiment_lexicon),
     )

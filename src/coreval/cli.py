@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ._http import EndpointError
-from .behavior import behavior_profile, default_cue_lexicons, load_cue_lexicon, \
-    load_sentiment_lexicon
+from .behavior import behavior_profile, default_cue_lexicons, dialog_text, load_cue_lexicon, \
+    load_sentiment_lexicon, toxicity
 from .corpus import CONDITIONS, CorpusError, parse_corpus, rank_frequency, vocab_growth
 from .embeddings import EmbeddingError, fetch_embeddings, load_embeddings
 from .lawfit import FitError, fit_heaps, fit_zipf
@@ -279,21 +280,21 @@ def cmd_behavior(args, argv) -> int:
             lexicons[name] = load_cue_lexicon(name, path)
     sent_lexicon = load_sentiment_lexicon(args.sentiment_lexicon)
 
-    rows = []
-    for corpus in corpora:
-        for dialog in corpus.dialogs:
-            profile = behavior_profile(
-                dialog, ngram_n=args.ngram, cue_lexicons=lexicons,
-                sentiment_lexicon=sent_lexicon, toxicity_endpoint=args.toxicity_endpoint,
-            )
-            rows.append({
-                "dialog_id": dialog.id, "condition": dialog.condition,
-                "toxicity": profile.toxicity, "sentiment": profile.sentiment,
-                "repetition_rate": profile.repetition_rate,
-                "agreement_rate": profile.agreement_rate,
-                "disagreement_rate": profile.disagreement_rate,
-                "hedging_rate": profile.hedging_rate,
-            })
+    dialogs = [dialog for corpus in corpora for dialog in corpus.dialogs]
+    profiles = [behavior_profile(dialog, ngram_n=args.ngram, cue_lexicons=lexicons,
+                                 sentiment_lexicon=sent_lexicon) for dialog in dialogs]
+    if args.toxicity_endpoint is not None:
+        scores = toxicity(args.toxicity_endpoint, [dialog_text(d) for d in dialogs],
+                          max_inflight=args.threads)
+        profiles = [replace(p, toxicity=s) for p, s in zip(profiles, scores)]
+    rows = [{
+        "dialog_id": dialog.id, "condition": dialog.condition,
+        "toxicity": profile.toxicity, "sentiment": profile.sentiment,
+        "repetition_rate": profile.repetition_rate,
+        "agreement_rate": profile.agreement_rate,
+        "disagreement_rate": profile.disagreement_rate,
+        "hedging_rate": profile.hedging_rate,
+    } for dialog, profile in zip(dialogs, profiles)]
     with open(out / "behavior.csv", "w", encoding="utf-8") as fh:
         write_behavior_csv(rows, fh)
     write_manifest(out / "manifest_behavior.json", command="behavior", argv=argv,

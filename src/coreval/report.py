@@ -174,11 +174,15 @@ def write_summary_csv(analyses: list[CorpusAnalysis], fh: IO[str], ddof: int = 0
             ]) + "\n")
 
 
-def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[dict[str, str]]:
-    """Rows of a CSV whose header names every ``required`` column.
+def _read_csv(path: str | Path, text: tuple[str, ...],
+              numeric: tuple[str, ...]) -> list[dict]:
+    """Rows of a CSV whose header names every ``text`` and ``numeric`` column,
+    with each ``numeric`` cell parsed as a finite float.
 
-    A missing column, in the header or in a short row, raises ValueError
-    naming the file, the line and the column."""
+    A missing column, in the header or in a short row, and a numeric cell
+    that does not parse or is not finite raise ValueError naming the file,
+    the line and the column."""
+    required = (*text, *numeric)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or ()
@@ -192,6 +196,15 @@ def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[dict[str, str
                 if row[column] is None:
                     raise ValueError(f"{path}: line {reader.line_num}: "
                                      f"row ends before column {column!r}")
+            for column in numeric:
+                try:
+                    value = float(row[column])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: "
+                                     f"{row[column]!r} is not a finite number")
+                row[column] = value
             rows.append(row)
     return rows
 
@@ -200,10 +213,10 @@ def read_condition_samples(paths: Iterable[str | Path]) -> dict[str, dict[str, l
     """Read condition-sample CSVs into {metric: {condition: values}}."""
     grouped: dict[str, dict[str, list[float]]] = {m: {} for m in COMPARE_METRICS}
     for path in paths:
-        for row in _read_csv(path, ("condition", *COMPARE_METRICS)):
+        for row in _read_csv(path, ("condition",), COMPARE_METRICS):
             condition = row["condition"]
             for metric in COMPARE_METRICS:
-                grouped[metric].setdefault(condition, []).append(float(row[metric]))
+                grouped[metric].setdefault(condition, []).append(row[metric])
     return grouped
 
 
@@ -242,10 +255,10 @@ def temporal_rows(per_dialog_paths: Iterable[str | Path]) -> list[list[str]]:
     """Average score per (condition, agent_a, dialog_index) from per-dialog CSVs."""
     groups: dict[tuple[str, str, int], list[float]] = {}
     for path in per_dialog_paths:
-        for row in _read_csv(path, ("dialog_id", "condition", "core")):
+        for row in _read_csv(path, ("dialog_id", "condition"), ("core",)):
             agent_a, index = parse_dialog_index(row["dialog_id"])
             key = (row["condition"], agent_a, index)
-            groups.setdefault(key, []).append(float(row["core"]))
+            groups.setdefault(key, []).append(row["core"])
     rows = []
     for (condition, agent_a, index) in sorted(groups):
         values = groups[(condition, agent_a, index)]

@@ -1,23 +1,44 @@
 """Behavioral metric tests: cue matching, repetition, sentiment, toxicity."""
 
 import logging
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from coreval._http import EndpointError
 from coreval.behavior import (
-    CUE_NAMES, CueLexicon, behavior_profile, cue_rate,
-    default_cue_lexicons, load_cue_lexicon, load_sentiment_lexicon, repetition_rate,
-    sentiment, toxicity,
+    CUE_NAMES, TOXICITY_BATCH, CueLexicon, behavior_profile, cue_rate,
+    default_cue_lexicons, dialog_text, load_cue_lexicon, load_sentiment_lexicon,
+    repetition_rate, sentiment, toxicity,
 )
-from coreval.corpus import extract_ngrams
+from coreval.corpus import extract_ngrams, parse_corpus
 from coreval.metric import repeated_fraction
-from conftest import make_corpus, make_dialog
+from conftest import DATA_DIR, make_corpus, make_dialog
 
 
 def lexicon(name, phrases):
     return CueLexicon(name=name, phrases=frozenset(tuple(p.split()) for p in phrases))
+
+
+def reference_cue_rate(tokens, lexicon):
+    """The full scan over every phrase length, kept as the oracle for cue_rate."""
+    if not tokens:
+        raise ValueError("cue_rate undefined for an empty dialog")
+    max_len = max(len(p) for p in lexicon.phrases)
+    matches = 0
+    i = 0
+    n = len(tokens)
+    while i < n:
+        for length in range(min(max_len, n - i), 0, -1):
+            if tuple(tokens[i : i + length]) in lexicon.phrases:
+                matches += 1
+                i += length
+                break
+        else:
+            i += 1
+    return matches / n
 
 
 class TestCueRate:
@@ -60,6 +81,40 @@ class TestCueRate:
     def test_empty_dialog_raises(self):
         with pytest.raises(ValueError):
             cue_rate([], lexicon("agreement", ["agree"]))
+
+    def test_matches_reference_on_random_lexicons(self):
+        # a small vocabulary makes shared first tokens, phrases that are
+        # prefixes of others and near-misses common; streams start at one
+        # token, shorter than most phrases
+        rng = np.random.default_rng(10)
+        vocab = [f"w{i}" for i in range(6)]
+        for case in range(3000):
+            phrases = set()
+            for _ in range(int(rng.integers(1, 9))):
+                length = int(rng.integers(1, 4))
+                phrases.add(tuple(vocab[int(j)] for j in rng.integers(0, len(vocab), length)))
+            if case % 3 == 0:
+                # force a prefix chain: a, a b, a b c
+                head = tuple(vocab[int(j)] for j in rng.integers(0, len(vocab), 3))
+                phrases.update({head[:1], head[:2], head})
+            lex = CueLexicon(name="hedging", phrases=frozenset(phrases))
+            tokens = [vocab[int(j)] for j in rng.integers(0, len(vocab), rng.integers(1, 25))]
+            assert cue_rate(tokens, lex) == reference_cue_rate(tokens, lex)
+            assert cue_rate(tuple(tokens), lex) == reference_cue_rate(tokens, lex)
+
+    def test_matches_reference_on_short_streams(self):
+        lex = lexicon("agreement", ["a b c", "a b", "b c", "c"])
+        for tokens in (["a"], ["a", "b"], ["b"], ["b", "c"], ["a", "b", "c"], ["c", "a"]):
+            assert cue_rate(tokens, lex) == reference_cue_rate(tokens, lex)
+
+    def test_matches_reference_on_fixture_corpus(self):
+        with open(DATA_DIR / "fixture_corpus.jsonl", encoding="utf-8") as fh:
+            corpus = parse_corpus(fh)
+        lexicons = default_cue_lexicons()
+        for dialog in corpus.dialogs:
+            tokens = dialog.tokens()
+            for lex in lexicons.values():
+                assert cue_rate(tokens, lex) == reference_cue_rate(tokens, lex)
 
 
 class TestRepetitionRate:
@@ -104,15 +159,37 @@ class TestSentiment:
         assert sentiment("this is terrible and awful", lex) < 0.0
 
 
+def text_scores(texts):
+    """Deterministic per-text scores in [0, 1]."""
+    return [(sum(t.encode()) % 1000) / 1000 for t in texts]
+
+
 class TestToxicity:
     def test_passthrough(self, mock_service):
         service = mock_service(lambda path, payload: (200, {"scores": [0.02]}))
-        assert toxicity(service.url, "hello") == 0.02
+        assert toxicity(service.url, ["hello"]) == [0.02]
+        assert service.calls == [("/", {"texts": ["hello"]})]
 
     def test_out_of_range_rejected(self, mock_service):
         service = mock_service(lambda path, payload: (200, {"scores": [1.5]}))
         with pytest.raises(EndpointError, match="out of range"):
-            toxicity(service.url, "hello")
+            toxicity(service.url, ["hello"])
+
+    def test_boolean_score_rejected(self, mock_service):
+        service = mock_service(lambda path, payload: (200, {"scores": [True]}))
+        with pytest.raises(EndpointError, match="out of range"):
+            toxicity(service.url, ["hello"])
+
+    @pytest.mark.parametrize("scores", [[0.5], [0.5, 0.5, 0.5], None, "0.5"])
+    def test_wrong_length_or_type_rejected(self, mock_service, scores):
+        service = mock_service(lambda path, payload: (200, {"scores": scores}))
+        with pytest.raises(EndpointError, match="malformed scores"):
+            toxicity(service.url, ["a", "b"])
+
+    def test_one_bad_score_in_a_batch_rejected(self, mock_service):
+        service = mock_service(lambda path, payload: (200, {"scores": [0.1, -0.1, 0.2]}))
+        with pytest.raises(EndpointError, match="out of range"):
+            toxicity(service.url, ["a", "b", "c"])
 
     def test_retries_then_succeeds(self, mock_service):
         state = {"n": 0}
@@ -124,7 +201,74 @@ class TestToxicity:
             return 200, {"scores": [0.4]}
 
         service = mock_service(flaky)
-        assert toxicity(service.url, "hello", backoff=0.01) == 0.4
+        assert toxicity(service.url, ["hello"], backoff=0.01) == [0.4]
+
+    @pytest.mark.parametrize("n", [0, 1, 32, 33, 90])
+    def test_batches_of_at_most_32(self, mock_service, n):
+        service = mock_service(
+            lambda path, payload: (200, {"scores": text_scores(payload["texts"])}))
+        texts = [f"text number {i}" for i in range(n)]
+        assert toxicity(service.url, texts) == text_scores(texts)
+        batches = [payload["texts"] for _, payload in service.calls]
+        assert TOXICITY_BATCH == 32
+        assert len(batches) == -(-n // 32)
+        assert all(1 <= len(b) <= 32 for b in batches)
+        assert sorted(t for b in batches for t in b) == sorted(texts)
+
+    def test_input_order_when_batches_finish_out_of_order(self, mock_service):
+        finished = []
+        lock = threading.Lock()
+
+        def handler(path, payload):
+            # the first batch answers last
+            if payload["texts"][0] == "text 0":
+                time.sleep(0.3)
+            with lock:
+                finished.append(payload["texts"][0])
+            return 200, {"scores": text_scores(payload["texts"])}
+
+        service = mock_service(handler)
+        texts = [f"text {i}" for i in range(90)]
+        assert toxicity(service.url, texts, max_inflight=3) == text_scores(texts)
+        assert finished[-1] == "text 0"
+        assert sorted(finished) == sorted(["text 0", "text 32", "text 64"])
+
+    def test_in_flight_bounded_by_max_inflight(self, mock_service):
+        state = {"now": 0, "peak": 0}
+        lock = threading.Lock()
+
+        def handler(path, payload):
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            time.sleep(0.05)
+            with lock:
+                state["now"] -= 1
+            return 200, {"scores": text_scores(payload["texts"])}
+
+        service = mock_service(handler)
+        texts = [f"t{i}" for i in range(32 * 6)]
+        assert toxicity(service.url, texts, max_inflight=2) == text_scores(texts)
+        assert len(service.calls) == 6
+        assert state["peak"] <= 2
+
+    def test_retry_stays_within_its_batch(self, mock_service):
+        state = {"failed": False}
+        lock = threading.Lock()
+
+        def handler(path, payload):
+            with lock:
+                fail = payload["texts"][0] == "t32" and not state["failed"]
+                state["failed"] |= fail
+            if fail:
+                return 500, {}
+            return 200, {"scores": text_scores(payload["texts"])}
+
+        service = mock_service(handler)
+        texts = [f"t{i}" for i in range(70)]
+        assert toxicity(service.url, texts, backoff=0.01) == text_scores(texts)
+        firsts = sorted(payload["texts"][0] for _, payload in service.calls)
+        assert firsts == ["t0", "t32", "t32", "t64"]
 
 
 class TestBehaviorProfile:
@@ -136,8 +280,8 @@ class TestBehaviorProfile:
     def test_with_endpoint(self, mock_service):
         service = mock_service(lambda path, payload: (200, {"scores": [0.11]}))
         dialog = make_dialog("d", "neutral", ["i agree maybe", "no not really"])
-        profile = behavior_profile(dialog, toxicity_endpoint=service.url)
-        assert profile.toxicity == 0.11
+        assert toxicity(service.url, [dialog_text(dialog)]) == [0.11]
+        assert service.calls == [("/", {"texts": ["i agree maybe no not really"]})]
 
     def test_rates_in_unit_interval(self):
         rng = np.random.default_rng(2)

@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+
+import pytest
 
 from coreval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_SERVICE, EXIT_VALIDATION, main
 from coreval.report import fmt6
-from conftest import DATA_DIR, echo_chat_handler, echo_embed_handler
+from conftest import DATA_DIR, dialog_jsonl_line, echo_chat_handler, echo_embed_handler
 
 FIXTURE_CORPUS = str(DATA_DIR / "fixture_corpus.jsonl")
 FIXTURE_EMBEDDINGS = str(DATA_DIR / "fixture_embeddings.jsonl")
@@ -205,13 +209,95 @@ class TestBehaviorCommand:
             assert 0.0 <= float(r["repetition_rate"]) <= 1.0
 
     def test_behavior_with_toxicity(self, tmp_path, mock_service):
-        service = mock_service(lambda path, payload: (200, {"scores": [0.25]}))
+        service = mock_service(
+            lambda path, payload: (200, {"scores": [0.25] * len(payload["texts"])}))
         out = tmp_path / "out"
         code = main(["behavior", FIXTURE_CORPUS, "--toxicity-endpoint", service.url,
                      "--out-dir", str(out)])
         assert code == EXIT_OK
         rows = read_csv(out / "behavior.csv")
         assert all(r["toxicity"] == "0.25" for r in rows)
+
+    def test_each_dialog_gets_its_own_score(self, tmp_path, mock_service):
+        # 70 dialogs over two inputs: three batches, each row scored by its own text
+        def score(text):
+            return (sum(text.encode()) % 997) / 997
+
+        expected = {}
+        paths = []
+        for part, (condition, count) in enumerate((("neutral", 40), ("cooperative", 30))):
+            lines = []
+            for k in range(count):
+                dialog_id = f"a__b__{condition}__{part}{k}"
+                turns = [f"hello {part} {k}", f"yes {k}"]
+                expected[dialog_id] = fmt6(score(" ".join(turns)))
+                lines.append(dialog_jsonl_line(dialog_id, condition, turns) + "\n")
+            path = tmp_path / f"in{part}.jsonl"
+            path.write_text("".join(lines))
+            paths.append(str(path))
+        service = mock_service(
+            lambda path, payload: (200, {"scores": [score(t) for t in payload["texts"]]}))
+        out = tmp_path / "out"
+        assert main(["behavior", *paths, "--toxicity-endpoint", service.url,
+                     "--out-dir", str(out)]) == EXIT_OK
+        rows = read_csv(out / "behavior.csv")
+        assert len(rows) == 70
+        assert {r["dialog_id"]: r["toxicity"] for r in rows} == expected
+        assert len(service.calls) == 3
+
+    def test_threads_bound_requests_in_flight(self, tmp_path, mock_service):
+        state = {"now": 0, "peak": 0}
+        lock = threading.Lock()
+
+        def handler(path, payload):
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            time.sleep(0.05)
+            with lock:
+                state["now"] -= 1
+            return 200, {"scores": [0.5] * len(payload["texts"])}
+
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(dialog_jsonl_line(f"a__b__neutral__{k}", "neutral",
+                                                  [f"hi {k}", "yes"]) + "\n"
+                                for k in range(32 * 4)))
+        service = mock_service(handler)
+        assert main(["behavior", str(path), "--toxicity-endpoint", service.url,
+                     "--threads", "1", "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert len(service.calls) == 4
+        assert state["peak"] == 1
+
+    def test_wrong_length_scores_exit_service(self, tmp_path, mock_service):
+        service = mock_service(lambda path, payload: (200, {"scores": [0.25]}))
+        out = tmp_path / "out"
+        assert main(["behavior", FIXTURE_CORPUS, "--toxicity-endpoint", service.url,
+                     "--out-dir", str(out)]) == EXIT_SERVICE
+        assert not (out / "behavior.csv").exists()
+
+    def test_boolean_score_exits_service(self, tmp_path, mock_service):
+        service = mock_service(
+            lambda path, payload: (200, {"scores": [True] * len(payload["texts"])}))
+        out = tmp_path / "out"
+        assert main(["behavior", FIXTURE_CORPUS, "--toxicity-endpoint", service.url,
+                     "--out-dir", str(out)]) == EXIT_SERVICE
+        assert not (out / "behavior.csv").exists()
+
+    def test_server_error_is_retried_within_the_batch(self, tmp_path, mock_service):
+        state = {"n": 0}
+
+        def flaky(path, payload):
+            state["n"] += 1
+            if state["n"] == 1:
+                return 500, {}
+            return 200, {"scores": [0.25] * len(payload["texts"])}
+
+        service = mock_service(flaky)
+        out = tmp_path / "out"
+        assert main(["behavior", FIXTURE_CORPUS, "--toxicity-endpoint", service.url,
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert [len(payload["texts"]) for _, payload in service.calls] == [12, 12]
+        assert all(r["toxicity"] == "0.25" for r in read_csv(out / "behavior.csv"))
 
 
 class TestCompare:
@@ -287,6 +373,17 @@ class TestCompare:
             f"coreval: error: {path}: line 3: row ends before column 'zipf_alpha'\n"
 
 
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+    def test_non_finite_cell_is_validation_error(self, tmp_path, capsys, cell):
+        path = self._samples_csv(tmp_path, [["c0", "neutral", 1.5, 0.6, 0.2, 10, 50],
+                                            ["c1", "cooperative", cell, 0.6, 0.2, 10, 50]])
+        out = tmp_path / "o"
+        assert main(["compare", str(path), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"coreval: error: {path}: line 3: column "
+                                           f"'zipf_alpha': '{cell}' is not a finite number\n")
+        assert not (out / "compare.csv").exists()
+
+
 class TestReport:
     def _per_dialog_csv(self, tmp_path, rows):
         path = tmp_path / "per_dialog.csv"
@@ -344,6 +441,18 @@ class TestReport:
         assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert capsys.readouterr().err == \
             f"coreval: error: {path}: line 1: header has no 'dialog_id' column\n"
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+    def test_non_finite_core_is_validation_error(self, tmp_path, capsys, cell):
+        path = self._per_dialog_csv(tmp_path, [
+            ["mA__mB__neutral__0", "neutral", 0.1, 1, 1, 1, ""],
+            ["mA__mB__neutral__1", "neutral", cell, 1, 1, 1, ""],
+        ])
+        out = tmp_path / "o"
+        assert main(["report", str(path), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"coreval: error: {path}: line 3: column "
+                                           f"'core': '{cell}' is not a finite number\n")
+        assert not (out / "temporal.csv").exists()
 
 
 class TestGenerate:
