@@ -1,14 +1,13 @@
 """Walkthrough: parsing a dialog corpus and reading its count tables.
 
 Parses a tiny inline JSONL corpus, then prints the rank-frequency table,
-the vocabulary-growth curve, n-gram counts, and a TF-IDF export.
+the vocabulary-growth curve and n-gram counts.
 """
 
 import io
 import json
 
-from coreval import extract_ngrams, parse_corpus, rank_frequency, tfidf_features, vocab_growth
-from coreval.corpus import write_tfidf_csv
+from coreval import extract_ngrams, parse_corpus, rank_frequency, vocab_growth
 
 DIALOGS = [
     {"id": "demo__demo__neutral__0", "condition": "neutral",
@@ -43,10 +42,4 @@ print("vocabulary growth (n tokens -> v types):", list(curve.points), "\n")
 table = extract_ngrams(corpus, 2)
 repeated = {ng: c for ng, c in table.counts.items() if c > 1}
 print(f"bigrams: {table.total_occurrences} occurrences, "
-      f"{len(table.counts)} types, repeated types: {repeated}\n")
-
-matrix = tfidf_features(corpus, max_features=12)
-print(f"tf-idf matrix shape: {matrix.shape}")
-buf = io.StringIO()
-write_tfidf_csv(corpus, matrix, buf)
-print(buf.getvalue())
+      f"{len(table.counts)} types, repeated types: {repeated}")

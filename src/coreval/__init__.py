@@ -21,7 +21,6 @@ from .corpus import (
     extract_ngrams,
     parse_corpus,
     rank_frequency,
-    tfidf_features,
     tokenize,
     vocab_growth,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "sentiment",
     "summarize",
     "synth_zipf_stream",
-    "tfidf_features",
     "tokenize",
     "toxicity",
     "vocab_growth",

@@ -19,12 +19,12 @@ def _retry_after_seconds(resp: requests.Response) -> float:
 
 def post_json(url: str, payload: dict, *, retries: int = 3, backoff: float = 0.5,
               timeout: float = 30.0) -> dict:
-    """POST ``payload`` as JSON, returning the decoded response body.
+    """POST ``payload`` as JSON, returning the response body decoded to a dict.
 
     Connection errors, timeouts, 5xx and 429 responses are retried up to
     ``retries`` attempts with exponential backoff.  After a 429 the wait is
     at least the response's Retry-After seconds, capped at ``timeout``.
-    Other 4xx responses and undecodable bodies fail immediately.
+    Other 4xx responses and bodies that are not a JSON object fail at once.
     """
     last_error: EndpointError | None = None
     for attempt in range(retries):
@@ -42,9 +42,12 @@ def post_json(url: str, payload: dict, *, retries: int = 3, backoff: float = 0.5
                 raise EndpointError(f"POST {url} failed: HTTP {resp.status_code}: {resp.text[:200]}")
             else:
                 try:
-                    return resp.json()
-                except ValueError as exc:
+                    data = resp.json()
+                except (ValueError, RecursionError) as exc:  # nested too deep
                     raise EndpointError(f"POST {url}: response is not valid JSON: {exc}") from None
+                if isinstance(data, dict):
+                    return data
+                raise EndpointError(f"POST {url}: response is not a JSON object: {data!r:.200}")
         if attempt + 1 < retries:
             time.sleep(max(backoff * (2 ** attempt), retry_after))
     assert last_error is not None

@@ -171,7 +171,7 @@ def toxicity(endpoint: str, texts: Sequence[str], *, max_inflight: int = 4,
     def score_one(batch: Sequence[str]) -> list[float]:
         data = post_json(endpoint, {"texts": batch}, retries=retries, backoff=backoff,
                          timeout=timeout)
-        scores = data.get("scores") if isinstance(data, dict) else None
+        scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(batch):
             raise EndpointError(f"toxicity endpoint returned malformed scores for a batch "
                                 f"of {len(batch)}: {scores!r:.200}")

@@ -6,7 +6,8 @@ behavioral profiles) consumes the token streams and count tables produced
 here, so iteration order is pinned: dialogs ascending by id, utterances by
 turn index.
 Each statistic tokenizes each utterance once; the benchmark's tracer test
-pins that count until ROADMAP item 3, so the statistics share no token pass.
+pins that count until the benchmark is re-pinned (ROADMAP item 2), so the
+statistics share no token pass.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class Utterance:
             raise CorpusError(f"turn {self.turn_index}: agent must be 'A' or 'B', got {self.agent!r}")
         if self.turn_index < 0:
             raise CorpusError(f"negative turn_index {self.turn_index}")
+        if not isinstance(self.text, str):
+            raise CorpusError(f"turn {self.turn_index}: text must be a string, got {self.text!r}")
         if not self.text.strip():
             raise CorpusError(f"turn {self.turn_index}: empty text")
 
@@ -185,7 +188,7 @@ def parse_corpus(stream: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) 
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
             raise CorpusError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
@@ -279,45 +282,3 @@ def vocab_growth(corpus: Corpus, stride: int) -> VocabGrowthCurve:
     ns = [*range(stride, len(tokens), stride), len(tokens)]
     return VocabGrowthCurve(points=tuple(zip(ns, vocab[np.array(ns) - 1].tolist())))
 
-
-def tfidf_features(corpus: Corpus, max_features: int) -> np.ndarray:
-    """TF-IDF matrix, one row per dialog over its concatenated turn text.
-
-    Vocabulary is the ``max_features`` most frequent tokens corpus-wide
-    (ties broken lexicographically); tf is the raw in-dialog count and
-    idf = ln((1+D)/(1+df)) + 1.  Rows are scaled to unit Euclidean norm;
-    all-zero rows are left zero.
-    """
-    if max_features < 1:
-        raise ValueError(f"max_features must be >= 1, got {max_features}")
-    if not corpus.dialogs:
-        raise CorpusError("empty corpus")
-    doc_tokens = [d.tokens() for d in corpus.dialogs]
-    totals = Counter(chain.from_iterable(doc_tokens))
-    vocab = [t for t, _ in TokenStats.from_counts(totals).entries[:max_features]]
-    col = {t: j for j, t in enumerate(vocab)}
-
-    n_docs = len(doc_tokens)
-    mat = np.zeros((n_docs, len(vocab)), dtype=np.float64)
-    df = np.zeros(len(vocab), dtype=np.float64)
-    for i, tokens in enumerate(doc_tokens):
-        counts = Counter(tokens)
-        for t, c in counts.items():
-            j = col.get(t)
-            if j is not None:
-                mat[i, j] = c
-                df[j] += 1
-    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    mat *= idf
-    norms = np.linalg.norm(mat, axis=1)
-    nonzero = norms > 0
-    mat[nonzero] /= norms[nonzero, None]
-    return mat
-
-
-def write_tfidf_csv(corpus: Corpus, matrix: np.ndarray, fh: IO[str]) -> None:
-    """Export a TF-IDF matrix as CSV with header dialog_id,f0,...,f{k-1}."""
-    k = matrix.shape[1]
-    fh.write("dialog_id," + ",".join(f"f{j}" for j in range(k)) + "\n")
-    for dialog, row in zip(corpus.dialogs, matrix):
-        fh.write(dialog.id + "," + ",".join(repr(float(x)) for x in row) + "\n")

@@ -89,7 +89,7 @@ def load_embeddings(path: str | Path | IO[str], corpus: Corpus) -> EmbeddingMatr
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
                 raise EmbeddingError(f"line {lineno}: invalid JSON: {exc}") from None
             try:
                 key = (str(obj["dialog_id"]), int(obj["turn_index"]))
@@ -156,10 +156,8 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
         data = post_json(endpoint, payload, retries=retries, backoff=backoff, timeout=timeout)
         items = data.get("data")
         if not isinstance(items, list) or len(items) != len(batch):
-            raise EndpointError(
-                f"embedding endpoint returned {0 if not isinstance(items, list) else len(items)} "
-                f"vectors for a batch of {len(batch)}"
-            )
+            raise EndpointError(f"embedding endpoint returned malformed data for a batch "
+                                f"of {len(batch)}: {items!r:.200}")
         out: list[np.ndarray | None] = [None] * len(batch)
         for item in items:
             try:

@@ -4,14 +4,15 @@ Utterance embeddings are grouped with k-means (k-means++ initialization,
 Lloyd iterations) and the number of modes is chosen by mean silhouette
 score over K = 2..k_max.  The module needs numpy alone.
 
-One squared Euclidean distance matrix is built per clustering call, in Gram
-form |p_i|^2 + |p_j|^2 - 2 p_i.p_j from one BLAS product of the rows
-centered on their mean; it differs from the direct difference form by a few
-1e-15 of the largest squared distance (the tests bound it at 1e-13).  Every
-K's k-means++ seeds are drawn from its rows, since every seed is a data
-point; the matrix then becomes the Euclidean one in place, which every K's
-silhouette reads from one n x K product with the one-hot labels.  So memory
-is O(n^2): one n x n float64 array, 6.5 MB at 900 utterances.
+Squared distances are taken in Gram form |p|^2 + |c|^2 - 2 p.c, one BLAS
+product of rows centered on their mean; it differs from the direct
+difference form by a few 1e-15 of the largest squared distance (the tests
+bound it at 1e-13).  One n x n squared distance matrix is built per
+clustering call.  Every K's k-means++ seeds are drawn from its rows, since
+every seed is a data point; the matrix then becomes the Euclidean one in
+place, which every K's silhouette reads from one n x K product with the
+one-hot labels.  So memory is O(n^2): one n x n float64 array, 6.5 MB at
+900 utterances.
 
 Every K's Lloyd run reads one frame built once per call: the rows, their
 column mean, the centered rows and their squared norms, the near-tie
@@ -22,9 +23,10 @@ within the Gram form's rounding of each other is assigned from the exact
 differences instead.  The inertia and each point's distance to its own
 centroid are summed from the exact differences, so the inertia guard stays
 exact.  Cluster sizes come from one ``bincount``, and the centroid means
-from one gather of the rows in label order.  At an exact fixed point
-(no centroid moved) Lloyd returns the assignment just made, which another
-one would repeat bit for bit.
+from one gather of the rows in label order.  Lloyd stops at an exact fixed
+point (no centroid moved), returning the assignment just made, which
+another one would repeat bit for bit; otherwise it stops after
+``_MAX_LLOYD_ITERS`` iterations with one more assignment.
 
 The implementation is deliberately self-contained so runs are
 bit-reproducible given a seed: assignment ties resolve to the lowest cluster
@@ -42,7 +44,6 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 
-_CENTROID_SHIFT_TOL = 1e-6
 _MAX_LLOYD_ITERS = 300
 
 
@@ -67,16 +68,14 @@ class ModeDistribution:
 
 
 def cdist(points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from n points to K centers, in Gram form.
+    """Squared Euclidean distances from n centered points to K centered centers.
 
-    ``points`` and ``centers`` are centered on the same mean and ``sq_norms``
-    holds the points' squared norms, so one call is one BLAS product
-    ``|p|^2 + |c|^2 - 2 p.c``, clamped at 0 because rounding can make an
-    entry slightly negative.  The name and the order of the first two
-    arguments (n points, then K centers) follow ``scipy.spatial.distance.cdist``,
-    which this replaced, because the benchmark's tracer wraps
-    ``coreval.modes.cdist`` and counts ``len(points) * len(centers)`` entries
-    per call.
+    ``sq_norms`` holds the points' squared norms.  Entries are clamped at 0
+    because rounding can make one slightly negative.  The name and the order
+    of the first two arguments (n points, then K centers) follow
+    ``scipy.spatial.distance.cdist``, which this replaced, because the
+    benchmark's tracer wraps ``coreval.modes.cdist`` and counts
+    ``len(points) * len(centers)`` entries per call.
     """
     d2 = points @ centers.T
     d2 *= -2.0
@@ -160,21 +159,13 @@ def _cluster_means(frame: _Frame, labels: np.ndarray, sizes: np.ndarray,
 
 
 def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations until the max centroid shift drops below tolerance.
+    """Lloyd iterations from ``centers`` until no centroid moves, at most
+    ``_MAX_LLOYD_ITERS`` of them; returns (labels, centroids, inertia).
 
-    ``frame`` holds the rows, their centered copy, squared norms and near-tie
-    tolerance and an n x d scratch buffer, built once per ``cluster_modes``
-    call.  Labels come from the Gram-form ``cdist`` of the centered points
-    and centers, or from the exact differences where the two nearest centers
-    are within its rounding.  The inertia, and each point's distance to its
-    own center, are summed from the exact differences in the buffer.
-    Cluster sizes come from one ``bincount`` and the means from one gather
-    of the rows in label order (``_cluster_means``).  Empty clusters are
-    reseeded to the points farthest from their centroids, which keeps
-    inertia non-increasing; an increase beyond rounding raises RuntimeError.
-    When no center moved (``new - old`` is exactly 0 only where they are
-    equal) and no cluster is empty, the assignment just made is returned:
-    a last one would repeat it.
+    Empty clusters are reseeded to the points farthest from their centroids,
+    which keeps inertia non-increasing; an increase beyond rounding raises
+    RuntimeError.  A fixed point is no cluster empty and ``new - old``
+    exactly 0, which holds only where the centroids are equal.
     """
     points, mean, centered, sq_norms, tol, rows, buf = frame
     n, k = points.shape[0], centers.shape[0]
@@ -209,13 +200,9 @@ def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
             new_centers[empty] = points[np.argsort(-nearest)[:empty.size]]
-        moved = new_centers - centers
-        if not empty.size and not moved.any():
+        elif not (new_centers - centers).any():
             return labels, new_centers, inertia
-        shift = float(np.sqrt(np.sum(moved ** 2, axis=1)).max())
         centers = new_centers
-        if shift < _CENTROID_SHIFT_TOL and not empty.size:
-            break
     labels, nearest = assign(centers)
     return labels, centers, float(nearest.sum())
 
@@ -270,15 +257,8 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
 
     Runs k-means for each K in 2..min(k_max, distinct-row count) and keeps
     the K with the highest mean silhouette (ties go to the smaller K).
-    One n x n squared distance matrix is computed per call in Gram form
-    (``_pairwise_distances``: centered rows, one BLAS product).  Every K's
-    k-means++ seeds are drawn from its rows first; then its square root,
-    taken in place, serves every K's silhouette.  That takes O(n^2) memory:
-    one n x n array, 6.5 MB at n = 900.  Every K's Lloyd run reads one
-    ``_frame`` of the rows, built once per call; it assigns labels by
-    Gram-form distances to the centroids, deciding near ties and summing its
-    inertia from the exact differences.  A matrix whose rows are all
-    identical yields the degenerate single-mode assignment k=1.
+    A matrix whose rows are all identical yields the degenerate single-mode
+    assignment k=1.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")

@@ -179,33 +179,36 @@ def _read_csv(path: str | Path, text: tuple[str, ...],
     """Rows of a CSV whose header names every ``text`` and ``numeric`` column,
     with each ``numeric`` cell parsed as a finite float.
 
-    A missing column, in the header or in a short row, and a numeric cell
-    that does not parse or is not finite raise ValueError naming the file,
-    the line and the column."""
+    A missing column, in the header or in a short row, a numeric cell that is
+    not a finite float, and a line the csv module cannot read raise
+    ValueError naming the file, the line and the column, if any."""
     required = (*text, *numeric)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or ()
-        for column in required:
-            if column not in header:
-                raise ValueError(f"{path}: line 1: header has no {column!r} column")
-        in_order = [column for column in header if column in required]
-        rows = []
-        for row in reader:
-            for column in in_order:
-                if row[column] is None:
-                    raise ValueError(f"{path}: line {reader.line_num}: "
-                                     f"row ends before column {column!r}")
-            for column in numeric:
-                try:
-                    value = float(row[column])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: "
-                                     f"{row[column]!r} is not a finite number")
-                row[column] = value
-            rows.append(row)
+        try:
+            header = reader.fieldnames or ()
+            for column in required:
+                if column not in header:
+                    raise ValueError(f"{path}: line 1: header has no {column!r} column")
+            in_order = [column for column in header if column in required]
+            rows = []
+            for row in reader:
+                for column in in_order:
+                    if row[column] is None:
+                        raise ValueError(f"{path}: line {reader.line_num}: "
+                                         f"row ends before column {column!r}")
+                for column in numeric:
+                    try:
+                        value = float(row[column])
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: "
+                                         f"{row[column]!r} is not a finite number")
+                    row[column] = value
+                rows.append(row)
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows
 
 

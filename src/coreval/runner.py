@@ -108,9 +108,12 @@ def _chat_completion(endpoint: str, model: str, messages: list[dict],
     data = post_json(url, payload, retries=config.retries, backoff=config.backoff,
                      timeout=config.timeout)
     try:
-        return data["choices"][0]["message"]["content"]
+        content = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise EndpointError(f"malformed chat completion from {url}: {exc}") from None
+    if not isinstance(content, str):
+        raise EndpointError(f"malformed chat completion from {url}: content {content!r:.200}")
+    return content
 
 
 def _generate_one(config: GenerationConfig, index: int) -> tuple[dict, list[str]]:

@@ -86,7 +86,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
 
 
 class MockService:
-    """Threaded local HTTP server; handler(path, payload) -> (status, body_dict)."""
+    """Threaded local HTTP server; handler(path, payload) -> (status, body), where
+    a bytes body is sent as it is and any other body as its JSON encoding."""
 
     def __init__(self, handler):
         self.calls: list[tuple[str, dict]] = []
@@ -100,7 +101,7 @@ class MockService:
                 with service._lock:
                     service.calls.append((self.path, payload))
                 status, body = handler(self.path, payload)
-                data = json.dumps(body).encode()
+                data = body if isinstance(body, bytes) else json.dumps(body).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

@@ -77,6 +77,15 @@ class TestAnalyze:
                      "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_SERVICE
 
+    @pytest.mark.parametrize("body", [[1, 2, 3], None, "x"])
+    def test_non_object_embedding_reply_is_service_failure(self, tmp_path, capsys,
+                                                            mock_service, body):
+        service = mock_service(lambda path, payload: (200, body))
+        code = main(["analyze", FIXTURE_CORPUS, "--embed-endpoint", service.url,
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_SERVICE
+        assert "coreval: external service failure: " in capsys.readouterr().err
+
     def test_two_inputs_summary_groups_by_condition(self, tmp_path):
         # split the fixture into two files; summary must pool by condition
         lines = open(FIXTURE_CORPUS).read().strip().splitlines()

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from coreval.corpus import (
-    Corpus, CorpusError, TokenStats, extract_ngrams, parse_corpus, rank_frequency,
-    tfidf_features, tokenize, vocab_growth, write_corpus, write_tfidf_csv,
+    CorpusError, TokenStats, extract_ngrams, parse_corpus, rank_frequency, tokenize, vocab_growth,
+    write_corpus,
 )
 from conftest import dialog_jsonl_line, make_corpus
 
@@ -84,6 +84,14 @@ class TestParseCorpus:
         obj = json.loads(dialog_jsonl_line("d1", "neutral", ["hi", "  "]))
         with pytest.raises(CorpusError, match=r"line 1.*empty text"):
             parse_corpus(io.StringIO(json.dumps(obj)))
+
+    @pytest.mark.parametrize("text", [5, None, True, ["hi"], {"text": "hi"}])
+    def test_non_string_text_names_line_and_turn(self, text):
+        obj = json.loads(dialog_jsonl_line("d2", "neutral", ["hi", "yo"]))
+        obj["turns"][1]["text"] = text
+        lines = dialog_jsonl_line("d1", "neutral", ["hi", "yo"]) + "\n" + json.dumps(obj)
+        with pytest.raises(CorpusError, match=r"line 2: turn 1: text must be a string"):
+            parse_corpus(io.StringIO(lines))
 
     def test_invalid_json_line_number(self):
         lines = dialog_jsonl_line("d1", "neutral", ["hi", "yo"]) + "\n{not json\n"
@@ -298,46 +306,3 @@ class TestVocabGrowth:
                         points.append((i, len(seen)))
                 assert vocab_growth(corpus, stride).points == tuple(points), stride
 
-
-class TestTfidf:
-    def test_identical_dialogs_identical_rows(self):
-        corpus = make_corpus([("d1", "neutral", ["red fox", "blue sky"]),
-                              ("d2", "neutral", ["red fox", "blue sky"])])
-        mat = tfidf_features(corpus, 100)
-        assert np.array_equal(mat[0], mat[1])
-
-    def test_single_token_row_is_unit(self):
-        corpus = make_corpus([("d1", "neutral", ["a a a", "a a"])])
-        mat = tfidf_features(corpus, 10)
-        assert mat.shape == (1, 1)
-        assert abs(np.linalg.norm(mat[0]) - 1.0) < 1e-12
-
-    def test_row_norms_unit_or_zero(self):
-        rng = np.random.default_rng(9)
-        spec = [(f"d{d}", "neutral",
-                 [" ".join(f"w{int(w)}" for w in rng.integers(0, 25, 12)) for _ in range(2)])
-                for d in range(8)]
-        corpus = make_corpus(spec)
-        mat = tfidf_features(corpus, 10)
-        assert mat.shape[1] <= 10
-        norms = np.linalg.norm(mat, axis=1)
-        assert np.all((norms == 0) | (np.abs(norms - 1) < 1e-9))
-
-    def test_vocabulary_most_frequent_with_ties(self):
-        corpus = make_corpus([("d1", "neutral", ["b b c", "a a z"])])
-        mat = tfidf_features(corpus, 2)
-        # a and b tie at count 2; lexicographic keeps both, z and c drop
-        assert mat.shape == (1, 2)
-
-    def test_csv_export_header(self):
-        corpus = make_corpus([("d1", "neutral", ["a b", "c d"])])
-        mat = tfidf_features(corpus, 3)
-        buf = io.StringIO()
-        write_tfidf_csv(corpus, mat, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "dialog_id,f0,f1,f2"
-        assert lines[1].startswith("d1,")
-
-    def test_empty_corpus(self):
-        with pytest.raises(CorpusError):
-            tfidf_features(Corpus(dialogs=()), 5)

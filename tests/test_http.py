@@ -81,3 +81,12 @@ def test_connection_error_backs_off_exponentially(scripted):
         post_json("http://svc", {}, retries=3, backoff=0.25)
     assert len(calls) == 3
     assert sleeps == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("body", [[1, 2, 3], None, "x", 5, True])
+def test_reply_that_is_not_an_object_fails_at_once(scripted, body):
+    calls, sleeps = scripted(FakeResponse(200, body=body), OK)
+    with pytest.raises(EndpointError, match="not a JSON object"):
+        post_json("http://svc", {}, retries=3)
+    assert len(calls) == 1
+    assert sleeps == []

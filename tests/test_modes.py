@@ -16,6 +16,12 @@ from coreval.modes import (
 )
 from conftest import DATA_DIR, adjusted_rand_index
 
+# The oracle Lloyds below also stop once no centroid moves by this much, an
+# exit ``modes._lloyd`` does not have: it stops only at an exact fixed point
+# or the iteration cap.  The exit never fires on the point sets here, so
+# their equality with ``modes._lloyd`` also shows Lloyd needs no such exit.
+ORACLE_SHIFT_TOL = 1e-6
+
 
 def gaussian_blobs(rng, centers, n_per, sigma=0.01):
     points = []
@@ -96,7 +102,7 @@ def cdist_lloyd(points, centers):
                         break
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
-        if shift < modes._CENTROID_SHIFT_TOL and not empty:
+        if shift < ORACLE_SHIFT_TOL and not empty:
             break
     d2 = cdist(points, centers, metric="sqeuclidean")
     labels = np.argmin(d2, axis=1)
@@ -152,7 +158,7 @@ def final_assign_lloyd(points, centers):
                         break
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
-        if shift < modes._CENTROID_SHIFT_TOL and not empty:
+        if shift < ORACLE_SHIFT_TOL and not empty:
             break
     labels, nearest = assign(centers)
     return labels, centers, float(nearest.sum())
@@ -219,7 +225,7 @@ def masked_mean_lloyd(points, centers):
             return labels, new_centers, inertia
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
-        if shift < modes._CENTROID_SHIFT_TOL and not empty.size:
+        if shift < ORACLE_SHIFT_TOL and not empty.size:
             break
     labels, nearest = assign(centers)
     return labels, centers, float(nearest.sum())
@@ -661,6 +667,31 @@ class TestFixedPoint:
             points = signed_zero_grid(seed)
             k = int(rng.integers(1, min(len(points), 6) + 1))
             start = points[rng.choice(len(points), k, replace=False)]
+            got = modes._lloyd(modes._frame(points), start.copy())
+            want = final_assign_lloyd(points, start.copy())
+            assert got[0].tobytes() == want[0].tobytes(), seed
+            assert got[1].tobytes() == want[1].tobytes(), seed
+            assert got[2] == want[2], seed
+
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_iteration_cap_matches_final_assign_reference(self, monkeypatch, cap):
+        # the cap is the one exit that is not a fixed point: it ends with one
+        # more assignment, to the means the last iteration computed
+        monkeypatch.setattr(modes, "_MAX_LLOYD_ITERS", cap)
+        for name, points, k_max in blob_sets():
+            fast = cluster_modes(points, k_max=k_max, seed=42)
+            with monkeypatch.context() as patch:
+                patch.setattr(modes, "_lloyd",
+                              lambda frame, centers: final_assign_lloyd(frame.points, centers))
+                slow = cluster_modes(points, k_max=k_max, seed=42)
+            assert fast.k == slow.k, name
+            assert fast.labels.tobytes() == slow.labels.tobytes(), name
+            assert fast.centroids.tobytes() == slow.centroids.tobytes(), name
+            assert fast.inertia == slow.inertia, name
+        for seed in range(40):
+            points = signed_zero_grid(seed)
+            start = points[:min(len(points), 1 + seed % 5)]
             got = modes._lloyd(modes._frame(points), start.copy())
             want = final_assign_lloyd(points, start.copy())
             assert got[0].tobytes() == want[0].tobytes(), seed
