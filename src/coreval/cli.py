@@ -52,23 +52,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42, help="base random seed (default 42)")
-    parser.add_argument("--ngram", type=int, default=3, help="n-gram order (default 3)")
-    parser.add_argument("--kmax", type=int, default=10, help="max modes for normalization (default 10)")
-    parser.add_argument("--threads", type=int, default=4,
-                        help="max concurrent endpoint requests (default 4)")
-    parser.add_argument("--out-dir", default=".", help="directory for output files (default .)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coreval",
                      description="Conversational robustness scoring and language-law analysis "
                                  "for multi-agent dialog corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand takes exactly the options its handler reads
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=4,
+                         help="max concurrent endpoint requests (default 4)")
+    ngram = argparse.ArgumentParser(add_help=False)
+    ngram.add_argument("--ngram", type=int, default=3, help="n-gram order (default 3)")
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".", help="directory for output files (default .)")
 
-    p = sub.add_parser("generate", parents=[], help="generate dialogs via two chat endpoints")
-    _add_common(p)
+    p = sub.add_parser("generate", parents=[threads],
+                       help="generate dialogs via two chat endpoints")
     p.add_argument("--endpoint-a", required=True)
     p.add_argument("--endpoint-b", required=True)
     p.add_argument("--model-a", required=True)
@@ -84,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="send the history as one concatenated user prompt")
     p.add_argument("--out", required=True, help="output dialog JSONL path")
 
-    p = sub.add_parser("analyze", help="compute the robustness score and reports")
-    _add_common(p)
+    p = sub.add_parser("analyze", parents=[ngram, threads, out_dir],
+                       help="compute the robustness score and reports")
+    p.add_argument("--kmax", type=int, default=10, help="max modes for normalization (default 10)")
     p.add_argument("inputs", nargs="+", help="dialog JSONL files")
     p.add_argument("--embeddings", action="append", default=None,
                    help="embedding JSONL (one for all inputs, or one per input)")
@@ -93,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"embedding service URL (default ${EMBED_ENDPOINT_ENV})")
     p.add_argument("--embed-model", default=None)
     p.add_argument("--embed-batch", type=int, default=32)
-    p.add_argument("--cluster-seed", type=int, default=None,
-                   help="clustering seed (default: --seed)")
+    p.add_argument("--cluster-seed", type=int, default=42, help="clustering seed (default 42)")
     p.add_argument("--min-count", type=int, default=2, help="zipf fit count filter (default 2)")
     p.add_argument("--max-rank", type=int, default=None, help="zipf fit rank cutoff (default none)")
     p.add_argument("--heaps-stride", type=int, default=50,
@@ -109,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-std", action="store_true",
                    help="use the sample (N-1) std divisor in summaries")
 
-    p = sub.add_parser("fit", help="fit rank-frequency and vocabulary-growth exponents")
-    _add_common(p)
+    p = sub.add_parser("fit", parents=[out_dir],
+                       help="fit rank-frequency and vocabulary-growth exponents")
     p.add_argument("inputs", nargs="+", help="dialog JSONL files")
     p.add_argument("--min-count", type=int, default=2)
     p.add_argument("--max-rank", type=int, default=None)
@@ -118,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-rank-frequency", action="store_true",
                    help="also write rank,count CSVs for log-log plotting")
 
-    p = sub.add_parser("behavior", help="per-dialog behavioral metrics")
-    _add_common(p)
+    p = sub.add_parser("behavior", parents=[ngram, threads, out_dir],
+                       help="per-dialog behavioral metrics")
     p.add_argument("inputs", nargs="+", help="dialog JSONL files")
     p.add_argument("--toxicity-endpoint", default=None)
     p.add_argument("--agreement-lexicon", default=None)
@@ -127,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hedging-lexicon", default=None)
     p.add_argument("--sentiment-lexicon", default=None)
 
-    p = sub.add_parser("compare", help="Mann-Whitney comparisons across conditions")
-    _add_common(p)
+    p = sub.add_parser("compare", parents=[out_dir],
+                       help="Mann-Whitney comparisons across conditions")
     p.add_argument("inputs", nargs="+", help="condition-sample CSVs from analyze")
 
-    p = sub.add_parser("report", help="temporal trend report from per-dialog CSVs")
-    _add_common(p)
+    p = sub.add_parser("report", parents=[out_dir],
+                       help="temporal trend report from per-dialog CSVs")
     p.add_argument("inputs", nargs="+", help="per-dialog CSVs from analyze")
 
     return parser
@@ -177,7 +176,7 @@ def _analyze_config(args) -> CoreConfig:
     return CoreConfig(
         ngram_n=args.ngram,
         k_max=args.kmax,
-        cluster_seed=args.cluster_seed if args.cluster_seed is not None else args.seed,
+        cluster_seed=args.cluster_seed,
         alpha_source="explicit" if args.alpha is not None else "fit_from_corpus",
         beta_source="explicit" if args.beta is not None else "fit_from_corpus",
         alpha=args.alpha if args.alpha is not None else 1.0,

@@ -92,10 +92,12 @@ def load_embeddings(path: str | Path | IO[str], corpus: Corpus) -> EmbeddingMatr
             except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
                 raise EmbeddingError(f"line {lineno}: invalid JSON: {exc}") from None
             try:
-                key = (str(obj["dialog_id"]), int(obj["turn_index"]))
+                key = (str(obj["dialog_id"]), obj["turn_index"])
                 vec = np.asarray(obj["vector"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise EmbeddingError(f"line {lineno}: bad record: {exc}") from None
+            if type(key[1]) is not int:  # a JSON integer; bool is an int subclass
+                raise EmbeddingError(f"line {lineno}: bad record: turn_index {key[1]!r:.50}")
             if key in by_key:
                 raise EmbeddingError(f"line {lineno}: duplicate key {key}")
             dim = _check_vector(key, vec, dim)
@@ -161,12 +163,12 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
         out: list[np.ndarray | None] = [None] * len(batch)
         for item in items:
             try:
-                idx = int(item["index"])
+                idx = item["index"]
                 vec = np.asarray(item["embedding"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise EndpointError(f"malformed embedding item: {exc}") from None
-            if not 0 <= idx < len(batch) or out[idx] is not None:
-                raise EndpointError(f"bad or repeated index {idx} in embedding response")
+            if type(idx) is not int or not 0 <= idx < len(batch) or out[idx] is not None:
+                raise EndpointError(f"bad or repeated index {idx!r:.50} in embedding response")
             out[idx] = vec
         return out  # type: ignore[return-value]
 

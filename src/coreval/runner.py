@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from ._http import EndpointError, post_json
@@ -154,57 +155,34 @@ def _count_complete_lines(path: Path) -> int:
 def generate_dialogs(config: GenerationConfig, out_path: str | Path) -> GenerationResult:
     """Generate config.dialogs dialogs, appending JSONL lines in index order.
 
-    Up to max_inflight dialogs run concurrently; a dialog is written only
-    after all lower-index dialogs are on disk, which keeps resume-by-line-
-    count sound.  An endpoint failure aborts that dialog and everything after
-    it (partial output stays valid); warnings go to a sidecar "<out>.log".
+    Up to max_inflight dialogs run concurrently.  ``Executor.map`` yields
+    them in index order, so each is written and flushed once every lower
+    index is on disk, which keeps resume-by-line-count sound.  The first
+    endpoint failure stops the run: dialogs not yet started are cancelled and
+    nothing from the failed index on is written, so the file stays a clean
+    prefix.  The sidecar "<out>.log" gets the warnings of the dialogs written,
+    in index order, then the failure line.
     """
     out_path = Path(out_path)
     resumed_from = _count_complete_lines(out_path)
-    indices = list(range(resumed_from, config.dialogs))
-    if not indices:
-        return GenerationResult(completed=0, failed=0, resumed_from=resumed_from,
-                                out_path=str(out_path))
-
-    results: dict[int, dict] = {}
-    failures: dict[int, str] = {}
     all_warnings: list[str] = []
     completed = 0
     failed = 0
 
     with open(out_path, "a", encoding="utf-8") as out, \
             ThreadPoolExecutor(max_workers=max(1, config.max_inflight)) as pool:
-        futures = {pool.submit(_generate_one, config, i): i for i in indices}
-        pending = set(futures)
-        next_to_write = indices[0]
-        stop = False
-        while pending and not stop:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                idx = futures[fut]
-                try:
-                    obj, warnings = fut.result()
-                    results[idx] = obj
-                    all_warnings.extend(warnings)
-                except EndpointError as exc:
-                    failures[idx] = str(exc)
-            while next_to_write in results or next_to_write in failures:
-                if next_to_write in failures:
-                    # everything after a failed dialog is dropped so the file
-                    # stays a clean prefix of the dialog sequence
-                    msg = f"dialog index {next_to_write} failed: {failures[next_to_write]}"
-                    logger.error(msg)
-                    all_warnings.append(msg)
-                    failed = 1
-                    stop = True
-                    break
-                out.write(json.dumps(results.pop(next_to_write), ensure_ascii=False) + "\n")
+        try:
+            for obj, warnings in pool.map(partial(_generate_one, config),
+                                          range(resumed_from, config.dialogs)):
+                out.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 out.flush()
+                all_warnings.extend(warnings)
                 completed += 1
-                next_to_write += 1
-        if stop:
-            for fut in pending:
-                fut.cancel()
+        except EndpointError as exc:
+            msg = f"dialog index {resumed_from + completed} failed: {exc}"
+            logger.error(msg)
+            all_warnings.append(msg)
+            failed = 1
 
     if all_warnings:
         with open(str(out_path) + ".log", "a", encoding="utf-8") as log:

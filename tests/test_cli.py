@@ -179,13 +179,12 @@ class TestAnalyze:
 
     def test_negative_cluster_seed_is_validation_error_before_work(self, tmp_path, capsys):
         # the missing embeddings file shows that no input is read first
-        for flags in (["--cluster-seed", "-1"], ["--seed", "-5"]):
-            out = tmp_path / "out"
-            code = main(["analyze", FIXTURE_CORPUS, "--embeddings", str(tmp_path / "none.jsonl"),
-                         *flags, "--out-dir", str(out)])
-            assert code == EXIT_VALIDATION
-            assert "cluster_seed must be >= 0" in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / "out"
+        code = main(["analyze", FIXTURE_CORPUS, "--embeddings", str(tmp_path / "none.jsonl"),
+                     "--cluster-seed", "-1", "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "cluster_seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFit:
@@ -503,6 +502,40 @@ class TestGenerate:
 
     def test_missing_required_flag_exits_one(self):
         assert main(["generate", "--endpoint-a", "http://x"]) == EXIT_VALIDATION
+
+
+# options a subcommand does not read, each with a value it would parse
+UNREAD_OPTIONS = [
+    ("generate", "--seed", "7"), ("generate", "--ngram", "2"), ("generate", "--kmax", "5"),
+    ("generate", "--out-dir", "o"), ("analyze", "--seed", "7"),
+    ("behavior", "--seed", "7"), ("behavior", "--kmax", "5"),
+] + [(command, option, value) for command in ("fit", "compare", "report")
+     for option, value in (("--seed", "7"), ("--ngram", "2"), ("--kmax", "5"),
+                           ("--threads", "2"))]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,option,value", UNREAD_OPTIONS)
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, mock_service,
+                                          command, option, value):
+        # the rest of each command line is valid, so only the option is refused
+        golden = DATA_DIR / "golden"
+        if command == "generate":
+            url = mock_service(echo_chat_handler).url
+            argv = ["--endpoint-a", url, "--endpoint-b", url, "--model-a", "mA",
+                    "--model-b", "mB", "--condition", "neutral", "--dialogs", "1",
+                    "--turns", "1", "--out", str(tmp_path / "gen.jsonl")]
+        else:
+            argv = {"analyze": [FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS],
+                    "fit": [FIXTURE_CORPUS], "behavior": [FIXTURE_CORPUS],
+                    "compare": [str(golden / "condition_samples.csv")],
+                    "report": [str(golden / "per_dialog.csv")]}[command]
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main([command, *argv, option, value]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: coreval ")
+        assert err.endswith(f"\ncoreval: error: unrecognized arguments: {option} {value}\n")
+        assert not list(tmp_path.iterdir())
 
 
 class TestRoundTrips:

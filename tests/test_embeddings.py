@@ -79,6 +79,16 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match="zero-norm"):
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
+    @pytest.mark.parametrize("index", [1.7, True, "1"])
+    def test_turn_index_must_be_json_integer(self, two_turn_corpus, index):
+        # int() would read each of these as turn 1
+        records = [
+            {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]},
+            {"dialog_id": "d1", "turn_index": index, "vector": [3.0, 4.0]},
+        ]
+        with pytest.raises(EmbeddingError, match="^line 2: bad record: turn_index "):
+            load_embeddings(embed_jsonl(records), two_turn_corpus)
+
     def test_extra_keys_tolerated(self, two_turn_corpus):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]},
@@ -157,6 +167,18 @@ class TestFetchEmbeddings:
         service = mock_service(inconsistent)
         with pytest.raises(EmbeddingError, match="dimension"):
             fetch_embeddings(service.url, corpus, batch_size=2, max_inflight=1)
+
+    @pytest.mark.parametrize("index", [lambda i: i + 0.9, bool, str],
+                             ids=["float", "bool", "string"])
+    def test_reply_index_must_be_json_integer(self, two_turn_corpus, mock_service, index):
+        # int() would read each index of this two-item reply as 0 and 1
+        def handler(path, payload):
+            return 200, {"data": [{"index": index(i), "embedding": [1.0, 2.0]}
+                                  for i in range(len(payload["input"]))]}
+
+        service = mock_service(handler)
+        with pytest.raises(EndpointError, match="bad or repeated index"):
+            fetch_embeddings(service.url, two_turn_corpus)
 
     def test_model_passed_through(self, two_turn_corpus, mock_service):
         service = mock_service(echo_embed_handler())

@@ -26,6 +26,9 @@ EMBEDDINGS = str(DATA_DIR / "fixture_embeddings.jsonl")
 JUNK = [None, True, 5, -1.5, "", " ", [], {}, [1, 2], {"a": 1}]
 # none a valid dialog id, turn index or vector for an embedding record
 RECORD_JUNK = [None, "", "x", [], {}, [1, 2], {"a": 1}]
+# index 0 or 1 as a JSON float, bool or string, each of which int() reads
+# back as that index; only a JSON integer is a turn index or reply index
+INDEX_CONVERSIONS = {"float": lambda i: i + 0.5, "bool": bool, "string": str}
 BAD_NUMBERS = ["", "abc", "nan", "inf", "-Infinity", "1e999", "0x1p3", "--1", "1.2.3"]
 OVERSIZED = "9" * 200_000  # longer than the csv module's field limit
 DEEP = b"[" * 100_000  # nested deeper than the recursion limit
@@ -106,7 +109,8 @@ def _dialog_cases(rng, lines) -> dict[str, bytes]:
 
 
 def _embedding_cases(rng, lines) -> dict[str, bytes]:
-    """Every record field set to four junk values and dropped, a vector with a
+    """Every record field set to four junk values and dropped, turn index 0
+    or 1 of a drawn record in each of ``INDEX_CONVERSIONS``, a vector with a
     non-finite entry or zero norm, then the line mutations."""
     cases = {}
     for field in ("dialog_id", "turn_index", "vector"):
@@ -114,6 +118,11 @@ def _embedding_cases(rng, lines) -> dict[str, bytes]:
             cases[f"{field}={json.dumps(value)}"] = _edit_line(
                 rng, lines, lambda obj, f=field, v=value: obj.__setitem__(f, v))
         cases[f"no-{field}"] = _edit_line(rng, lines, lambda obj, f=field: obj.pop(f))
+    for name, convert in INDEX_CONVERSIONS.items():
+        records = [json.loads(line) for line in lines]
+        record = rng.choice([r for r in records if r["turn_index"] < 2])
+        record["turn_index"] = convert(record["turn_index"])
+        cases[f"turn_index-{name}"] = _join(map(json.dumps, records))
     for name, value in (("nan", float("nan")), ("inf", float("inf")), ("zero", 0.0)):
         def edit(obj, value=value):
             vector = obj["vector"]
@@ -229,6 +238,9 @@ EMBED_REPLIES = {
     "data_string": lambda n: (200, {"data": "x"}),
     "data_numbers": lambda n: (200, {"data": [1] * n}),
     "index_string": lambda n: (200, {"data": [{"index": "a", "embedding": [1.0]}] * n}),
+    **{f"index_as_{name}": lambda n, convert=convert: (200, {"data": [
+        {"index": convert(i) if i < 2 else i, "embedding": [1.0, float(i)]} for i in range(n)]})
+       for name, convert in INDEX_CONVERSIONS.items()},
     "index_repeated": lambda n: (200, {"data": [{"index": 0, "embedding": [1.0]}] * n}),
     "index_out_of_range": lambda n: (200, {"data": [{"index": n + i, "embedding": [1.0]}
                                                     for i in range(n)]}),

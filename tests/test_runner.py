@@ -1,9 +1,13 @@
 """Dialog generation tests against deterministic mock chat endpoints."""
 
 import json
+import threading
+import time
 
 import pytest
 
+from coreval import runner
+from coreval._http import EndpointError
 from coreval.corpus import parse_corpus
 from coreval.runner import (
     SEED_PROMPTS, GenerationConfig, build_concat_messages, build_messages,
@@ -163,6 +167,47 @@ class TestGenerateDialogs:
         assert len(b.calls) == 2
         assert all(p["model"] == "mockA" for _, p in a.calls)
         assert all(p["model"] == "mockB" for _, p in b.calls)
+
+    def test_log_lists_warnings_in_index_order(self, tmp_path, monkeypatch):
+        # dialog 0 finishes last, after dialog 1; both warn
+        dialog_1_done = threading.Event()
+
+        def fake_generate_one(config, index):
+            if index == 0:
+                assert dialog_1_done.wait(10)
+                time.sleep(0.1)
+            if index == 1:
+                dialog_1_done.set()
+            return {"id": f"d{index}"}, [f"warning {index}"] if index < 2 else []
+
+        monkeypatch.setattr(runner, "_generate_one", fake_generate_one)
+        out = tmp_path / "d.jsonl"
+        result = generate_dialogs(quick_config("http://unused", dialogs=4, max_inflight=4), out)
+        assert (result.completed, result.failed) == (4, 0)
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == \
+            ["d0", "d1", "d2", "d3"]
+        assert (tmp_path / "d.jsonl.log").read_text() == "warning 0\nwarning 1\n"
+
+    def test_failure_drops_later_dialogs_and_their_warnings(self, tmp_path, monkeypatch):
+        # dialog 1 fails after dialogs 2 and 3 have finished; their output
+        # and warnings follow the failed index, so none of it is kept
+        later_done = threading.Barrier(3)
+
+        def fake_generate_one(config, index):
+            if index >= 1:
+                later_done.wait(10)
+            if index == 1:
+                time.sleep(0.1)
+                raise EndpointError("down")
+            return {"id": f"d{index}"}, [f"warning {index}"]
+
+        monkeypatch.setattr(runner, "_generate_one", fake_generate_one)
+        out = tmp_path / "d.jsonl"
+        result = generate_dialogs(quick_config("http://unused", dialogs=4, max_inflight=4), out)
+        assert (result.completed, result.failed) == (1, 1)
+        assert out.read_text() == '{"id": "d0"}\n'
+        assert (tmp_path / "d.jsonl.log").read_text() == \
+            "warning 0\ndialog index 1 failed: down\n"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
