@@ -21,10 +21,10 @@ from .corpus import CONDITIONS, CorpusError, parse_corpus, rank_frequency, vocab
 from .embeddings import EmbeddingError, fetch_embeddings, load_embeddings
 from .lawfit import FitError, fit_heaps, fit_zipf
 from .metric import CoreConfig
-from .report import analysis_report_json, analyze_corpus, compare_rows, \
-    read_condition_samples, temporal_rows, utc_now, write_behavior_csv, \
-    write_compare_csv, write_condition_samples_csv, write_fit_csv, write_manifest, \
-    write_per_dialog_csv, write_summary_csv, write_temporal_csv
+from .report import COMPARE_HEADER, CONDITION_SAMPLES_HEADER, PER_DIALOG_HEADER, \
+    SUMMARY_HEADER, TEMPORAL_HEADER, analysis_report_json, analyze_corpus, compare_rows, \
+    condition_sample_rows, fmt6, per_dialog_rows, read_condition_samples, summary_rows, \
+    temporal_rows, utc_now, write_csv, write_manifest
 from .runner import GenerationConfig, generate_dialogs
 
 EXIT_OK = 0
@@ -151,8 +151,7 @@ def _load_corpora(paths: list[str]):
     return corpora
 
 
-def cmd_generate(args, argv) -> int:
-    started = utc_now()
+def cmd_generate(args) -> int:
     config = GenerationConfig(
         endpoint_a=args.endpoint_a, endpoint_b=args.endpoint_b,
         model_a=args.model_a, model_b=args.model_b, condition=args.condition,
@@ -161,10 +160,6 @@ def cmd_generate(args, argv) -> int:
         request_seed=args.request_seed, concat_prompt=args.concat_prompt,
     )
     result = generate_dialogs(config, args.out)
-    write_manifest(str(args.out) + ".manifest.json", command="generate", argv=argv,
-                   inputs=[], config=vars(args) | {"out": str(args.out)},
-                   seeds={"request_seed": args.request_seed},
-                   started_at=started, finished_at=utc_now())
     print(f"generated {result.completed} dialogs (resumed from {result.resumed_from}, "
           f"failed {result.failed}) -> {result.out_path}")
     if result.failed and result.completed == 0 and result.resumed_from == 0:
@@ -206,8 +201,7 @@ def _matrices_for(args, corpora):
                              max_inflight=args.threads) for corpus in corpora]
 
 
-def cmd_analyze(args, argv) -> int:
-    started = utc_now()
+def cmd_analyze(args) -> int:
     config = _analyze_config(args)  # validates kmax/ngram/seeds before any work
     out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
@@ -222,53 +216,42 @@ def cmd_analyze(args, argv) -> int:
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(analysis_report_json(analyses, config), fh, indent=2)
         fh.write("\n")
-    with open(out / "per_dialog.csv", "w", encoding="utf-8") as fh:
-        write_per_dialog_csv(analyses, fh)
-    with open(out / "condition_samples.csv", "w", encoding="utf-8") as fh:
-        write_condition_samples_csv(analyses, fh)
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        write_summary_csv(analyses, fh, ddof=1 if args.sample_std else 0)
-    write_manifest(out / "manifest_analyze.json", command="analyze", argv=argv,
-                   inputs=list(args.inputs), config=vars(args) | {"core_config": config.__dict__},
-                   seeds={"cluster_seed": config.cluster_seed},
-                   started_at=started, finished_at=utc_now())
+    write_csv(out / "per_dialog.csv", PER_DIALOG_HEADER, per_dialog_rows(analyses))
+    write_csv(out / "condition_samples.csv", CONDITION_SAMPLES_HEADER,
+              condition_sample_rows(analyses))
+    write_csv(out / "summary.csv", SUMMARY_HEADER,
+              summary_rows(analyses, ddof=1 if args.sample_std else 0))
     print(f"analyzed {len(analyses)} corpora -> {out}/report.json")
     return EXIT_OK
 
 
-def cmd_fit(args, argv) -> int:
-    started = utc_now()
+def cmd_fit(args) -> int:
+    dumps = {}  # rank-frequency dump name -> the input it is written from
+    for path in args.inputs if args.dump_rank_frequency else ():
+        name = f"rankfreq_{Path(path).stem}.csv"
+        if name in dumps:
+            raise ValidationError(f"{dumps[name]} and {path} would both be dumped to {name}")
+        dumps[name] = path
     out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
     rows = []
     for path, corpus in zip(args.inputs, corpora):
         stats = rank_frequency(corpus)
-        curve = vocab_growth(corpus, args.stride)
         zipf = fit_zipf(stats, min_count=args.min_count, max_rank=args.max_rank)
-        heaps = fit_heaps(curve)
-        rows.append({
-            "corpus": path, "alpha": zipf.exponent, "alpha_r2": zipf.r_squared,
-            "beta": heaps.exponent, "beta_r2": heaps.r_squared,
-            "unique_tokens": len(stats.entries), "total_tokens": stats.total_tokens,
-        })
+        heaps = fit_heaps(vocab_growth(corpus, args.stride))
+        rows.append([path, fmt6(zipf.exponent), fmt6(zipf.r_squared), fmt6(heaps.exponent),
+                     fmt6(heaps.r_squared), str(len(stats.entries)), str(stats.total_tokens)])
         if args.dump_rank_frequency:
-            stem = Path(path).stem
-            with open(out / f"rankfreq_{stem}.csv", "w", encoding="utf-8") as fh:
-                fh.write("rank,count\n")
-                for rank, (_, count) in enumerate(stats.entries, start=1):
-                    fh.write(f"{rank},{count}\n")
-    with open(out / "fit.csv", "w", encoding="utf-8") as fh:
-        write_fit_csv(rows, fh)
-    write_manifest(out / "manifest_fit.json", command="fit", argv=argv,
-                   inputs=list(args.inputs), config={"min_count": args.min_count,
-                   "max_rank": args.max_rank, "stride": args.stride}, seeds={},
-                   started_at=started, finished_at=utc_now())
+            write_csv(out / f"rankfreq_{Path(path).stem}.csv", "rank,count",
+                      ((str(rank), str(count))
+                       for rank, (_, count) in enumerate(stats.entries, start=1)))
+    write_csv(out / "fit.csv", "corpus,alpha,alpha_r2,beta,beta_r2,unique_tokens,total_tokens",
+              rows)
     print(f"fit {len(rows)} corpora -> {out}/fit.csv")
     return EXIT_OK
 
 
-def cmd_behavior(args, argv) -> int:
-    started = utc_now()
+def cmd_behavior(args) -> int:
     out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
     lexicons = default_cue_lexicons()
@@ -286,47 +269,28 @@ def cmd_behavior(args, argv) -> int:
         scores = toxicity(args.toxicity_endpoint, [dialog_text(d) for d in dialogs],
                           max_inflight=args.threads)
         profiles = [replace(p, toxicity=s) for p, s in zip(profiles, scores)]
-    rows = [{
-        "dialog_id": dialog.id, "condition": dialog.condition,
-        "toxicity": profile.toxicity, "sentiment": profile.sentiment,
-        "repetition_rate": profile.repetition_rate,
-        "agreement_rate": profile.agreement_rate,
-        "disagreement_rate": profile.disagreement_rate,
-        "hedging_rate": profile.hedging_rate,
-    } for dialog, profile in zip(dialogs, profiles)]
-    with open(out / "behavior.csv", "w", encoding="utf-8") as fh:
-        write_behavior_csv(rows, fh)
-    write_manifest(out / "manifest_behavior.json", command="behavior", argv=argv,
-                   inputs=list(args.inputs),
-                   config={"ngram": args.ngram, "toxicity_endpoint": args.toxicity_endpoint},
-                   seeds={}, started_at=started, finished_at=utc_now())
+    rows = [[dialog.id, dialog.condition, "" if p.toxicity is None else fmt6(p.toxicity),
+             fmt6(p.sentiment), fmt6(p.repetition_rate), fmt6(p.agreement_rate),
+             fmt6(p.disagreement_rate), fmt6(p.hedging_rate)]
+            for dialog, p in zip(dialogs, profiles)]
+    write_csv(out / "behavior.csv", "dialog_id,condition,toxicity,sentiment,repetition_rate,"
+              "agreement_rate,disagreement_rate,hedging_rate", rows)
     print(f"profiled {len(rows)} dialogs -> {out}/behavior.csv")
     return EXIT_OK
 
 
-def cmd_compare(args, argv) -> int:
-    started = utc_now()
+def cmd_compare(args) -> int:
     out = _out_dir(args)
-    grouped = read_condition_samples(args.inputs)
-    rows = compare_rows(grouped)
-    with open(out / "compare.csv", "w", encoding="utf-8") as fh:
-        write_compare_csv(rows, fh)
-    write_manifest(out / "manifest_compare.json", command="compare", argv=argv,
-                   inputs=list(args.inputs), config={}, seeds={},
-                   started_at=started, finished_at=utc_now())
+    rows = compare_rows(read_condition_samples(args.inputs))
+    write_csv(out / "compare.csv", COMPARE_HEADER, rows)
     print(f"wrote {len(rows)} comparisons -> {out}/compare.csv")
     return EXIT_OK
 
 
-def cmd_report(args, argv) -> int:
-    started = utc_now()
+def cmd_report(args) -> int:
     out = _out_dir(args)
     rows = temporal_rows(args.inputs)
-    with open(out / "temporal.csv", "w", encoding="utf-8") as fh:
-        write_temporal_csv(rows, fh)
-    write_manifest(out / "manifest_report.json", command="report", argv=argv,
-                   inputs=list(args.inputs), config={}, seeds={},
-                   started_at=started, finished_at=utc_now())
+    write_csv(out / "temporal.csv", TEMPORAL_HEADER, rows)
     print(f"wrote {len(rows)} temporal rows -> {out}/temporal.csv")
     return EXIT_OK
 
@@ -346,7 +310,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args, argv)
+        started = utc_now()
+        code = _HANDLERS[args.command](args)
+        # a handler that raised gets no manifest
+        config = vars(args)
+        path = (args.out + ".manifest.json" if args.command == "generate"
+                else Path(args.out_dir) / f"manifest_{args.command}.json")
+        write_manifest(path, command=args.command, argv=argv, inputs=config.get("inputs", []),
+                       config=config,
+                       seeds={k: v for k, v in config.items() if k.endswith("_seed")},
+                       started_at=started, finished_at=utc_now())
+        return code
     except _UsageError as exc:
         print(exc.message, file=sys.stderr)
         return EXIT_VALIDATION

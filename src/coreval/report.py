@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
-from typing import IO, Iterable
+from types import SimpleNamespace
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +29,13 @@ from .stats import mann_whitney_u, summarize
 
 SUMMARY_METRICS = ("core", "zipf_alpha", "heaps_beta", "unique_tokens")
 COMPARE_METRICS = ("core", "heaps_beta", "zipf_alpha")
+
+# the header of each CSV whose rows this module builds
+PER_DIALOG_HEADER = "dialog_id,condition,core,entropy_term,repetition_term,stagnation_term,flags"
+CONDITION_SAMPLES_HEADER = "corpus,condition,zipf_alpha,heaps_beta,core,unique_tokens,total_tokens"
+SUMMARY_HEADER = "condition,metric,mean,std_dev,max,min,range"
+COMPARE_HEADER = "comparison,metric,u,p_value,method"
+TEMPORAL_HEADER = "condition,agent_a,dialog_index,mean_core"
 
 logger = logging.getLogger(__name__)
 
@@ -124,31 +132,28 @@ def analysis_report_json(analyses: list[CorpusAnalysis], config: CoreConfig) -> 
     return {"config": asdict(config), "corpora": corpora}
 
 
-def write_per_dialog_csv(analyses: list[CorpusAnalysis], fh: IO[str]) -> None:
-    fh.write("dialog_id,condition,core,entropy_term,repetition_term,stagnation_term,flags\n")
+def per_dialog_rows(analyses: list[CorpusAnalysis]) -> list[list[str]]:
+    """One PER_DIALOG_HEADER row per dialog."""
+    rows = []
     for a in analyses:
         conditions = {d.id: d.condition for d in a.corpus.dialogs}
         for did, b in a.per_dialog:
-            fh.write(",".join([
-                did, conditions[did], fmt6(b.core), fmt6(b.entropy_term),
-                fmt6(b.repetition_term), fmt6(b.stagnation_term), flags_str(b.flags),
-            ]) + "\n")
+            rows.append([did, conditions[did], fmt6(b.core), fmt6(b.entropy_term),
+                         fmt6(b.repetition_term), fmt6(b.stagnation_term), flags_str(b.flags)])
+    return rows
 
 
-def write_condition_samples_csv(analyses: list[CorpusAnalysis], fh: IO[str]) -> None:
-    fh.write("corpus,condition,zipf_alpha,heaps_beta,core,unique_tokens,total_tokens\n")
-    for a in analyses:
-        for s in a.condition_samples:
-            fh.write(",".join([
-                s["corpus"], s["condition"], fmt6(s["zipf_alpha"]), fmt6(s["heaps_beta"]),
-                fmt6(s["core"]), str(s["unique_tokens"]), str(s["total_tokens"]),
-            ]) + "\n")
+def condition_sample_rows(analyses: list[CorpusAnalysis]) -> list[list[str]]:
+    """One CONDITION_SAMPLES_HEADER row per (corpus, condition) sample."""
+    return [[s["corpus"], s["condition"], fmt6(s["zipf_alpha"]), fmt6(s["heaps_beta"]),
+             fmt6(s["core"]), str(s["unique_tokens"]), str(s["total_tokens"])]
+            for a in analyses for s in a.condition_samples]
 
 
-def write_summary_csv(analyses: list[CorpusAnalysis], fh: IO[str], ddof: int = 0) -> None:
-    """Per-condition summary rows in the metric order core, zipf_alpha,
-    heaps_beta, unique_tokens.  Core is summarized over per-dialog scores;
-    the rest over per-(corpus, condition) samples."""
+def summary_rows(analyses: list[CorpusAnalysis], ddof: int = 0) -> list[list[str]]:
+    """Per-condition SUMMARY_HEADER rows in the metric order core,
+    zipf_alpha, heaps_beta, unique_tokens.  Core is summarized over
+    per-dialog scores; the rest over per-(corpus, condition) samples."""
     core_by_cond: dict[str, list[float]] = {}
     sample_by_cond: dict[str, list[dict]] = {}
     for a in analyses:
@@ -158,7 +163,7 @@ def write_summary_csv(analyses: list[CorpusAnalysis], fh: IO[str], ddof: int = 0
         for s in a.condition_samples:
             sample_by_cond.setdefault(s["condition"], []).append(s)
 
-    fh.write("condition,metric,mean,std_dev,max,min,range\n")
+    rows = []
     for condition in sorted(core_by_cond):
         for metric in SUMMARY_METRICS:
             if metric == "core":
@@ -168,10 +173,25 @@ def write_summary_csv(analyses: list[CorpusAnalysis], fh: IO[str], ddof: int = 0
             if not values:
                 continue
             row = summarize(values, ddof=ddof)
-            fh.write(",".join([
-                condition, metric, fmt6(row.mean), fmt6(row.std_dev),
-                fmt6(row.max), fmt6(row.min), fmt6(row.range),
-            ]) + "\n")
+            rows.append([condition, metric, fmt6(row.mean), fmt6(row.std_dev),
+                         fmt6(row.max), fmt6(row.min), fmt6(row.range)])
+    return rows
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[Iterable[str]]) -> None:
+    """Write the header line (column names joined by commas) and rows of
+    string cells as CSV with "\n" line ends.
+
+    Quoting is minimal (RFC 4180): a cell is quoted only when it holds a
+    comma, a quote or a line break, so any id or path reads back intact."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # csv quotes a cell holding a character of the line terminator, so
+        # rows end in "\r\n" (which quotes a lone "\r" too); each row is one
+        # write() call, stored with "\n"
+        lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lf, lineterminator="\r\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
 def _read_csv(path: str | Path, text: tuple[str, ...],
@@ -224,7 +244,7 @@ def read_condition_samples(paths: Iterable[str | Path]) -> dict[str, dict[str, l
 
 
 def compare_rows(grouped: dict[str, dict[str, list[float]]]) -> list[list[str]]:
-    """Pairwise condition comparisons per metric, as CSV rows."""
+    """Pairwise condition comparisons per metric, as COMPARE_HEADER rows."""
     conditions = sorted({c for per in grouped.values() for c in per})
     if len(conditions) < 2:
         raise ValueError("compare needs at least two conditions with samples")
@@ -240,12 +260,6 @@ def compare_rows(grouped: dict[str, dict[str, list[float]]]) -> list[list[str]]:
     return rows
 
 
-def write_compare_csv(rows: list[list[str]], fh: IO[str]) -> None:
-    fh.write("comparison,metric,u,p_value,method\n")
-    for row in rows:
-        fh.write(",".join(row) + "\n")
-
-
 def parse_dialog_index(dialog_id: str) -> tuple[str, int]:
     """Extract (agent_a, trailing dialog index) from a generated dialog id."""
     parts = dialog_id.split("__")
@@ -255,7 +269,8 @@ def parse_dialog_index(dialog_id: str) -> tuple[str, int]:
 
 
 def temporal_rows(per_dialog_paths: Iterable[str | Path]) -> list[list[str]]:
-    """Average score per (condition, agent_a, dialog_index) from per-dialog CSVs."""
+    """Average score per (condition, agent_a, dialog_index) from per-dialog
+    CSVs, as TEMPORAL_HEADER rows."""
     groups: dict[tuple[str, str, int], list[float]] = {}
     for path in per_dialog_paths:
         for row in _read_csv(path, ("dialog_id", "condition"), ("core",)):
@@ -267,33 +282,6 @@ def temporal_rows(per_dialog_paths: Iterable[str | Path]) -> list[list[str]]:
         values = groups[(condition, agent_a, index)]
         rows.append([condition, agent_a, str(index), fmt6(sum(values) / len(values))])
     return rows
-
-
-def write_temporal_csv(rows: list[list[str]], fh: IO[str]) -> None:
-    fh.write("condition,agent_a,dialog_index,mean_core\n")
-    for row in rows:
-        fh.write(",".join(row) + "\n")
-
-
-def write_fit_csv(rows: list[dict], fh: IO[str]) -> None:
-    fh.write("corpus,alpha,alpha_r2,beta,beta_r2,unique_tokens,total_tokens\n")
-    for r in rows:
-        fh.write(",".join([
-            r["corpus"], fmt6(r["alpha"]), fmt6(r["alpha_r2"]), fmt6(r["beta"]),
-            fmt6(r["beta_r2"]), str(r["unique_tokens"]), str(r["total_tokens"]),
-        ]) + "\n")
-
-
-def write_behavior_csv(rows: list[dict], fh: IO[str]) -> None:
-    fh.write("dialog_id,condition,toxicity,sentiment,repetition_rate,"
-             "agreement_rate,disagreement_rate,hedging_rate\n")
-    for r in rows:
-        tox = "" if r["toxicity"] is None else fmt6(r["toxicity"])
-        fh.write(",".join([
-            r["dialog_id"], r["condition"], tox, fmt6(r["sentiment"]),
-            fmt6(r["repetition_rate"]), fmt6(r["agreement_rate"]),
-            fmt6(r["disagreement_rate"]), fmt6(r["hedging_rate"]),
-        ]) + "\n")
 
 
 def utc_now() -> str:

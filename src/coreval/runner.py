@@ -145,11 +145,20 @@ def _generate_one(config: GenerationConfig, index: int) -> tuple[dict, list[str]
     return obj, warnings
 
 
-def _count_complete_lines(path: Path) -> int:
+def _resume_point(path: Path) -> tuple[int, int]:
+    """(complete lines, bytes truncated) of an earlier run's output.
+
+    A line is complete once its newline is written.  A torn last line, left
+    by an interrupted write, is truncated so new dialogs start on a line of
+    their own."""
     if not path.exists():
-        return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        return sum(1 for line in fh if line.strip())
+        return 0, 0
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    return sum(1 for line in data[:end].splitlines() if line.strip()), len(data) - end
 
 
 def generate_dialogs(config: GenerationConfig, out_path: str | Path) -> GenerationResult:
@@ -160,12 +169,17 @@ def generate_dialogs(config: GenerationConfig, out_path: str | Path) -> Generati
     index is on disk, which keeps resume-by-line-count sound.  The first
     endpoint failure stops the run: dialogs not yet started are cancelled and
     nothing from the failed index on is written, so the file stays a clean
-    prefix.  The sidecar "<out>.log" gets the warnings of the dialogs written,
-    in index order, then the failure line.
+    prefix.  The sidecar "<out>.log" gets a line for a torn last line that
+    was truncated, the warnings of the dialogs written, in index order, then
+    the failure line.
     """
     out_path = Path(out_path)
-    resumed_from = _count_complete_lines(out_path)
+    resumed_from, torn = _resume_point(out_path)
     all_warnings: list[str] = []
+    if torn:
+        all_warnings.append(f"truncated a torn last line of {torn} bytes with no newline; "
+                            f"resuming at dialog index {resumed_from}")
+        logger.warning(all_warnings[-1])
     completed = 0
     failed = 0
 

@@ -185,9 +185,13 @@ def test_10_end_to_end_golden(tmp_path, monkeypatch):
                  "--out-dir", str(out)]) == EXIT_OK
     assert main(["report", str(out / "per_dialog.csv"),
                  "--out-dir", str(out)]) == EXIT_OK
+    assert main(["fit", "fixture_corpus.jsonl", "--dump-rank-frequency",
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert main(["behavior", "fixture_corpus.jsonl", "--out-dir", str(out)]) == EXIT_OK
 
     golden_files = ["report.json", "per_dialog.csv", "condition_samples.csv",
-                    "summary.csv", "compare.csv", "temporal.csv"]
+                    "summary.csv", "compare.csv", "temporal.csv", "fit.csv",
+                    "rankfreq_fixture_corpus.csv", "behavior.csv"]
     for name in golden_files:
         fresh = (out / name).read_bytes()
         committed = (GOLDEN_DIR / name).read_bytes()

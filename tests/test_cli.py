@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from coreval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_SERVICE, EXIT_VALIDATION, main
-from coreval.report import fmt6
+from coreval.report import fmt6, write_csv
 from conftest import DATA_DIR, dialog_jsonl_line, echo_chat_handler, echo_embed_handler
 
 FIXTURE_CORPUS = str(DATA_DIR / "fixture_corpus.jsonl")
@@ -48,6 +48,23 @@ class TestAnalyze:
             {"core", "zipf_alpha", "heaps_beta", "unique_tokens"}
         manifest = json.loads((out / "manifest_analyze.json").read_text())
         assert manifest["command"] == "analyze"
+
+    def test_manifest_records_every_parsed_option(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS,
+                "--cluster-seed", "7", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest_analyze.json").read_text())
+        assert manifest["argv"] == argv
+        assert manifest["inputs"] == [FIXTURE_CORPUS]
+        assert manifest["seeds"] == {"cluster_seed": 7}
+        config = manifest["config"]
+        assert set(config) == {"command", "inputs", "ngram", "threads", "out_dir", "kmax",
+                               "embeddings", "embed_endpoint", "embed_model", "embed_batch",
+                               "cluster_seed", "min_count", "max_rank", "heaps_stride",
+                               "alpha", "beta", "fallback_exponent", "repetition_counting",
+                               "sample_std"}
+        assert (config["cluster_seed"], config["kmax"], config["out_dir"]) == (7, 10, str(out))
 
     def test_kmax_one_is_usage_error_before_work(self, tmp_path):
         out = tmp_path / "out"
@@ -203,6 +220,21 @@ class TestFit:
         assert rank_rows[0]["rank"] == "1"
         counts = [int(r["count"]) for r in rank_rows]
         assert counts == sorted(counts, reverse=True)
+
+    def test_inputs_sharing_a_stem_are_rejected_before_any_output(self, tmp_path, capsys):
+        # both would be dumped to rankfreq_x.csv, the second over the first
+        paths = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            paths.append(tmp_path / name / "x.jsonl")
+            paths[-1].write_text(open(FIXTURE_CORPUS).read())
+        out = tmp_path / "out"
+        code = main(["fit", *map(str, paths), "--dump-rank-frequency", "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"coreval: error: {paths[0]} and {paths[1]} would "
+                                           f"both be dumped to rankfreq_x.csv\n")
+        assert not out.exists()
+        assert main(["fit", *map(str, paths), "--out-dir", str(out)]) == EXIT_OK
 
 
 class TestBehaviorCommand:
@@ -472,7 +504,10 @@ class TestGenerate:
                      "--dialogs", "2", "--turns", "3", "--out", str(out)])
         assert code == EXIT_OK
         assert len(out.read_text().strip().splitlines()) == 2
-        assert (tmp_path / "gen.jsonl.manifest.json").exists()
+        manifest = json.loads((tmp_path / "gen.jsonl.manifest.json").read_text())
+        assert (manifest["command"], manifest["inputs"]) == ("generate", [])
+        assert manifest["seeds"] == {"request_seed": None}
+        assert manifest["config"]["out"] == str(out)
 
     def test_generate_service_failure(self, tmp_path):
         out = tmp_path / "gen.jsonl"
@@ -551,6 +586,35 @@ class TestRoundTrips:
         assert len(compare) == 9
         temporal = read_csv(out / "temporal.csv")
         assert len(temporal) == 12  # 3 conditions x 2 agent_a x 2 indexes
+
+    def test_commas_and_quotes_read_back(self, tmp_path):
+        # an input path and dialog ids holding a comma and a quote are
+        # written as quoted cells, which compare and report read back intact
+        agent = 'l,"ama'
+        in_json = json.dumps(agent)[1:-1] + "__"
+        corpus = tmp_path / 'c,1"x.jsonl'
+        corpus.write_text(open(FIXTURE_CORPUS).read().replace("llama__", in_json))
+        embeddings = tmp_path / "embeddings.jsonl"
+        embeddings.write_text(open(FIXTURE_EMBEDDINGS).read().replace("llama__", in_json))
+        out = tmp_path / "out"
+        assert main(["analyze", str(corpus), "--embeddings", str(embeddings),
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert main(["compare", str(out / "condition_samples.csv"),
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert main(["report", str(out / "per_dialog.csv"), "--out-dir", str(out)]) == EXIT_OK
+        ids = {r["dialog_id"] for r in read_csv(out / "per_dialog.csv")}
+        assert len(ids) == 12
+        assert {i.split("__")[0] for i in ids} == {agent, "qwen"}
+        assert {r["corpus"] for r in read_csv(out / "condition_samples.csv")} == {str(corpus)}
+        assert {r["agent_a"] for r in read_csv(out / "temporal.csv")} == {agent, "qwen"}
+        assert len(read_csv(out / "compare.csv")) == 9
+
+    @pytest.mark.parametrize("cell", ["a\rb", "a\nb", "a\r\nb"])
+    def test_write_csv_round_trips_line_breaks(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_csv(path, "x,y", [[cell, "1"]])
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["x", "y"], [cell, "1"]]
 
 
 class TestStartup:

@@ -144,6 +144,24 @@ class TestGenerateDialogs:
         ids = [json.loads(line)["id"] for line in lines]
         assert ids == [f"mockA__mockB__neutral__{k}" for k in range(3)]
 
+    def test_resume_truncates_a_torn_last_line(self, mock_service, tmp_path):
+        # an interrupted write left a last line with no newline: it is not a
+        # dialog, and new dialogs must not be appended onto it
+        service = mock_service(echo_chat_handler)
+        out = tmp_path / "torn.jsonl"
+        generate_dialogs(quick_config(service.url, dialogs=1), out)
+        torn = '{"id": "mockA__mockB__neutral__1", "condition": "neu'
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(torn)
+        result = generate_dialogs(quick_config(service.url, dialogs=3), out)
+        assert (result.resumed_from, result.completed, result.failed) == (1, 2, 0)
+        with open(out, "rb") as fh:
+            assert [d.id for d in parse_corpus(fh).dialogs] == \
+                [f"mockA__mockB__neutral__{k}" for k in range(3)]
+        assert (tmp_path / "torn.jsonl.log").read_text() == (
+            f"truncated a torn last line of {len(torn)} bytes with no newline; "
+            f"resuming at dialog index 1\n")
+
     def test_empty_response_retried_then_placeholder(self, mock_service, tmp_path):
         def empty_responder(path, payload):
             return 200, {"choices": [{"message": {"content": "   "}}]}
