@@ -28,7 +28,6 @@ from .lawfit import FitError, FitResult, fit_heaps, fit_zipf, synth_zipf_stream
 from .embeddings import (
     EmbeddingError,
     EmbeddingMatrix,
-    cosine,
     dialog_stagnation,
     fetch_embeddings,
     load_embeddings,
@@ -94,7 +93,6 @@ __all__ = [
     "cluster_modes",
     "compute_core",
     "core_per_dialog",
-    "cosine",
     "cue_rate",
     "dialog_stagnation",
     "entropy",

@@ -6,6 +6,9 @@ import time
 
 import requests
 
+ATTEMPTS = 3  # requests per call, the first included
+BACKOFF_S = 0.5  # wait before the second attempt; doubles before each later one
+
 
 class EndpointError(RuntimeError):
     """External service unreachable or returned an invalid response after retries."""
@@ -17,17 +20,17 @@ def _retry_after_seconds(resp: requests.Response) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
-def post_json(url: str, payload: dict, *, retries: int = 3, backoff: float = 0.5,
-              timeout: float = 30.0) -> dict:
+def post_json(url: str, payload: dict, *, timeout: float = 30.0) -> dict:
     """POST ``payload`` as JSON, returning the response body decoded to a dict.
 
     Connection errors, timeouts, 5xx and 429 responses are retried up to
-    ``retries`` attempts with exponential backoff.  After a 429 the wait is
-    at least the response's Retry-After seconds, capped at ``timeout``.
+    ``ATTEMPTS`` attempts with exponential backoff from ``BACKOFF_S``.
+    After a 429 the wait is at least the response's Retry-After seconds,
+    capped at ``timeout``.
     Other 4xx responses and bodies that are not a JSON object fail at once.
     """
     last_error: EndpointError | None = None
-    for attempt in range(retries):
+    for attempt in range(ATTEMPTS):
         retry_after = 0.0
         try:
             resp = requests.post(url, json=payload, timeout=timeout)
@@ -48,7 +51,7 @@ def post_json(url: str, payload: dict, *, retries: int = 3, backoff: float = 0.5
                 if isinstance(data, dict):
                     return data
                 raise EndpointError(f"POST {url}: response is not a JSON object: {data!r:.200}")
-        if attempt + 1 < retries:
-            time.sleep(max(backoff * (2 ** attempt), retry_after))
+        if attempt + 1 < ATTEMPTS:
+            time.sleep(max(BACKOFF_S * (2 ** attempt), retry_after))
     assert last_error is not None
     raise last_error

@@ -156,21 +156,21 @@ def dialog_text(dialog: Dialog) -> str:
     return " ".join(u.text for u in dialog.utterances)
 
 
-def toxicity(endpoint: str, texts: Sequence[str], *, max_inflight: int = 4,
-             retries: int = 3, backoff: float = 0.5, timeout: float = 30.0) -> list[float]:
+def toxicity(endpoint: str, texts: Sequence[str], *, max_inflight: int = 4) -> list[float]:
     """Score texts via the toxicity wire protocol, one score per text in input order.
 
     POST {endpoint} {"texts": [batch...]} -> {"scores": [s, ...]}, one s in
     [0, 1] per text, for batches of at most ``TOXICITY_BATCH`` texts.  Up to
     ``max_inflight`` batches are in flight concurrently.  Transient failures
-    are retried like the embedding client; a malformed reply raises
+    are retried under ``post_json``'s policy; a malformed reply raises
     EndpointError.
     """
+    if max_inflight < 1:
+        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
     batches = [texts[i : i + TOXICITY_BATCH] for i in range(0, len(texts), TOXICITY_BATCH)]
 
     def score_one(batch: Sequence[str]) -> list[float]:
-        data = post_json(endpoint, {"texts": batch}, retries=retries, backoff=backoff,
-                         timeout=timeout)
+        data = post_json(endpoint, {"texts": batch})
         scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(batch):
             raise EndpointError(f"toxicity endpoint returned malformed scores for a batch "
@@ -182,7 +182,7 @@ def toxicity(endpoint: str, texts: Sequence[str], *, max_inflight: int = 4,
                 raise EndpointError(f"toxicity score out of range [0, 1]: {score!r}")
         return [float(score) for score in scores]
 
-    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
+    with ThreadPoolExecutor(max_workers=max_inflight) as pool:
         return [score for batch in pool.map(score_one, batches) for score in batch]
 
 

@@ -17,9 +17,9 @@ from pathlib import Path
 from ._http import EndpointError
 from .behavior import behavior_profile, default_cue_lexicons, dialog_text, load_cue_lexicon, \
     load_sentiment_lexicon, toxicity
-from .corpus import CONDITIONS, CorpusError, parse_corpus, rank_frequency, vocab_growth
-from .embeddings import EmbeddingError, fetch_embeddings, load_embeddings
-from .lawfit import FitError, fit_heaps, fit_zipf
+from .corpus import CONDITIONS, parse_corpus, rank_frequency, vocab_growth
+from .embeddings import fetch_embeddings, load_embeddings
+from .lawfit import fit_heaps, fit_zipf
 from .metric import CoreConfig
 from .report import COMPARE_HEADER, CONDITION_SAMPLES_HEADER, PER_DIALOG_HEADER, \
     SUMMARY_HEADER, TEMPORAL_HEADER, analysis_report_json, analyze_corpus, compare_rows, \
@@ -33,10 +33,6 @@ EXIT_PARTIAL = 2
 EXIT_SERVICE = 3
 
 EMBED_ENDPOINT_ENV = "CORE_EMBED_ENDPOINT"
-
-
-class ValidationError(ValueError):
-    pass
 
 
 class _UsageError(Exception):
@@ -187,14 +183,14 @@ def _analyze_config(args) -> CoreConfig:
 def _matrices_for(args, corpora):
     if args.embeddings:
         if len(args.embeddings) not in (1, len(corpora)):
-            raise ValidationError(
+            raise ValueError(
                 f"--embeddings given {len(args.embeddings)} times for {len(corpora)} inputs"
             )
         paths = args.embeddings * len(corpora) if len(args.embeddings) == 1 else args.embeddings
         return [load_embeddings(path, corpus) for path, corpus in zip(paths, corpora)]
     endpoint = args.embed_endpoint or os.environ.get(EMBED_ENDPOINT_ENV)
     if not endpoint:
-        raise ValidationError(
+        raise ValueError(
             f"no embeddings: pass --embeddings, --embed-endpoint, or set ${EMBED_ENDPOINT_ENV}"
         )
     return [fetch_embeddings(endpoint, corpus, args.embed_batch, model=args.embed_model,
@@ -207,7 +203,7 @@ def cmd_analyze(args) -> int:
     corpora = _load_corpora(args.inputs)
     for path, corpus in zip(args.inputs, corpora):
         if not corpus.dialogs:
-            raise ValidationError(f"{path}: no dialogs to analyze")
+            raise ValueError(f"{path}: no dialogs to analyze")
     matrices = _matrices_for(args, corpora)
 
     analyses = [analyze_corpus(path, corpus, matrix, config)
@@ -230,7 +226,7 @@ def cmd_fit(args) -> int:
     for path in args.inputs if args.dump_rank_frequency else ():
         name = f"rankfreq_{Path(path).stem}.csv"
         if name in dumps:
-            raise ValidationError(f"{dumps[name]} and {path} would both be dumped to {name}")
+            raise ValueError(f"{dumps[name]} and {path} would both be dumped to {name}")
         dumps[name] = path
     out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
@@ -327,8 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except EndpointError as exc:
         print(f"coreval: external service failure: {exc}", file=sys.stderr)
         return EXIT_SERVICE
-    except (ValidationError, CorpusError, EmbeddingError, FitError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError, EmbeddingError, FitError included
         print(f"coreval: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -226,19 +226,6 @@ def _dialog_from_obj(obj: dict) -> Dialog:
     )
 
 
-def write_corpus(corpus: Corpus, fh: IO[str]) -> None:
-    """Serialize a corpus back to the dialog JSONL format."""
-    for d in corpus.dialogs:
-        obj = {
-            "id": d.id,
-            "condition": d.condition,
-            "agent_a": d.agent_a,
-            "agent_b": d.agent_b,
-            "turns": [{"agent": u.agent, "text": u.text} for u in d.utterances],
-        }
-        fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
 def _windows(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
     return zip(*(tokens[i:] for i in range(n)))  # none when shorter than n
 

@@ -1,4 +1,4 @@
-"""Utterance embeddings: file I/O, an embedding-endpoint client, and cosine similarity.
+"""Utterance embeddings: file I/O, an embedding-endpoint client, and dialog stagnation.
 
 Embeddings are an external input (a JSONL file or an OpenAI-embeddings-shaped
 HTTP service), never an in-process model.  Vectors are held at float64
@@ -11,7 +11,6 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
 
 import numpy as np
 
@@ -67,22 +66,16 @@ def _check_vector(key: tuple[str, int], vec: np.ndarray, dim: int | None) -> int
     return int(vec.size)
 
 
-def load_embeddings(path: str | Path | IO[str], corpus: Corpus) -> EmbeddingMatrix:
+def load_embeddings(path: str | Path, corpus: Corpus) -> EmbeddingMatrix:
     """Read embedding JSONL and align rows to the corpus iteration order.
 
     Each line is {"dialog_id": str, "turn_index": int, "vector": [...]}.
     File order is irrelevant; alignment is by (dialog_id, turn_index).
     Raises EmbeddingError naming the first missing or duplicated key.
     """
-    if hasattr(path, "read"):
-        lines = path  # type: ignore[assignment]
-        close = False
-    else:
-        lines = open(path, "r", encoding="utf-8")
-        close = True
     by_key: dict[tuple[str, int], np.ndarray] = {}
     dim: int | None = None
-    try:
+    with open(path, "r", encoding="utf-8") as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
@@ -102,9 +95,6 @@ def load_embeddings(path: str | Path | IO[str], corpus: Corpus) -> EmbeddingMatr
                 raise EmbeddingError(f"line {lineno}: duplicate key {key}")
             dim = _check_vector(key, vec, dim)
             by_key[key] = vec
-    finally:
-        if close:
-            lines.close()
 
     keys = tuple(corpus.utterance_keys())
     missing = [k for k in keys if k not in by_key]
@@ -114,30 +104,19 @@ def load_embeddings(path: str | Path | IO[str], corpus: Corpus) -> EmbeddingMatr
     return EmbeddingMatrix(keys=keys, rows=rows)
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path: str | Path | IO[str]) -> None:
+def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Write embedding JSONL; floats use repr so a reload is bit-exact."""
-    if hasattr(path, "write"):
-        fh = path  # type: ignore[assignment]
-        close = False
-    else:
-        fh = open(path, "w", encoding="utf-8")
-        close = True
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         for (dialog_id, turn_index), row in zip(matrix.keys, matrix.rows):
             fh.write(json.dumps({
                 "dialog_id": dialog_id,
                 "turn_index": turn_index,
                 "vector": [float(x) for x in row],
             }) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
-                     model: str | None = None, max_inflight: int = 4,
-                     retries: int = 3, backoff: float = 0.5,
-                     timeout: float = 30.0) -> EmbeddingMatrix:
+                     model: str | None = None, max_inflight: int = 4) -> EmbeddingMatrix:
     """Embed every utterance text via an embedding-service endpoint.
 
     Wire protocol: POST {endpoint} {"input": [texts...], "model": str?} ->
@@ -147,6 +126,8 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if max_inflight < 1:
+        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
     keys = tuple(corpus.utterance_keys())
     texts = [u.text for u in corpus.iter_utterances()]
     batches = [texts[i : i + batch_size] for i in range(0, len(texts), batch_size)]
@@ -155,7 +136,7 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
         payload: dict = {"input": batch}
         if model is not None:
             payload["model"] = model
-        data = post_json(endpoint, payload, retries=retries, backoff=backoff, timeout=timeout)
+        data = post_json(endpoint, payload)
         items = data.get("data")
         if not isinstance(items, list) or len(items) != len(batch):
             raise EndpointError(f"embedding endpoint returned malformed data for a batch "
@@ -172,7 +153,7 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
             out[idx] = vec
         return out  # type: ignore[return-value]
 
-    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
+    with ThreadPoolExecutor(max_workers=max_inflight) as pool:
         results = list(pool.map(fetch_one, batches))
 
     vectors = [vec for batch in results for vec in batch]
@@ -180,19 +161,6 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
     for key, vec in zip(keys, vectors):
         dim = _check_vector(key, vec, dim)
     return EmbeddingMatrix(keys=keys, rows=np.vstack(vectors))
-
-
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine similarity u.v / (|u||v|); raises on dimension mismatch or zero norm."""
-    ua = np.asarray(u, dtype=np.float64)
-    va = np.asarray(v, dtype=np.float64)
-    if ua.shape != va.shape:
-        raise EmbeddingError(f"dimension mismatch: {ua.shape} vs {va.shape}")
-    nu = float(np.linalg.norm(ua))
-    nv = float(np.linalg.norm(va))
-    if nu == 0.0 or nv == 0.0:
-        raise EmbeddingError("cosine undefined for zero-norm vector")
-    return float(np.dot(ua, va) / (nu * nv))
 
 
 def dialog_stagnation(rows: np.ndarray) -> float:

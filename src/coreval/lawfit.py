@@ -55,8 +55,11 @@ def fit_zipf(stats: TokenStats, min_count: int = 2, max_rank: int | None = None)
 
     Entries with count < min_count or rank > max_rank are dropped before the
     regression; the hapax tail otherwise dominates the residuals.  Raises
-    FitError when fewer than two entries survive.
+    FitError when fewer than two entries survive, and ValueError for a
+    min_count or max_rank below 1.
     """
+    if min_count < 1 or (max_rank is not None and max_rank < 1):
+        raise ValueError(f"min_count and max_rank must be >= 1, got {min_count} and {max_rank}")
     ranks = []
     counts = []
     for idx, (_, count) in enumerate(stats.entries):

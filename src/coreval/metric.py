@@ -62,6 +62,11 @@ class CoreConfig:
             raise ValueError(f"k_max must be >= 2, got {self.k_max}")
         if self.cluster_seed < 0:
             raise ValueError(f"cluster_seed must be >= 0, got {self.cluster_seed}")
+        for name, value in (("zipf_min_count", self.zipf_min_count),
+                            ("zipf_max_rank", self.zipf_max_rank),
+                            ("heaps_stride", self.heaps_stride)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta),
                             ("fallback_exponent", self.fallback_exponent)):
             if not (value > 0 and math.isfinite(value)):

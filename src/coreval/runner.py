@@ -27,6 +27,7 @@ SEED_PROMPTS = {
 }
 
 EMPTY_RESPONSE_PLACEHOLDER = "..."
+CHAT_TIMEOUT_S = 60.0  # per chat request; completions take longer than other endpoints
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,14 @@ class GenerationConfig:
     max_inflight: int = 4
     request_seed: int | None = None
     concat_prompt: bool = False
-    retries: int = 3
-    backoff: float = 0.5
-    timeout: float = 60.0
 
     def __post_init__(self):
         if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition {self.condition!r}")
         if self.dialogs < 1 or self.turns < 1:
             raise ValueError("dialogs and turns must be >= 1")
+        if self.max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
@@ -106,8 +106,7 @@ def _chat_completion(endpoint: str, model: str, messages: list[dict],
     if config.request_seed is not None:
         payload["seed"] = config.request_seed
     url = endpoint.rstrip("/") + "/v1/chat/completions"
-    data = post_json(url, payload, retries=config.retries, backoff=config.backoff,
-                     timeout=config.timeout)
+    data = post_json(url, payload, timeout=CHAT_TIMEOUT_S)
     try:
         content = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -184,7 +183,7 @@ def generate_dialogs(config: GenerationConfig, out_path: str | Path) -> Generati
     failed = 0
 
     with open(out_path, "a", encoding="utf-8") as out, \
-            ThreadPoolExecutor(max_workers=max(1, config.max_inflight)) as pool:
+            ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
         try:
             for obj, warnings in pool.map(partial(_generate_one, config),
                                           range(resumed_from, config.dialogs)):

@@ -11,10 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coreval import _http
 from coreval.corpus import Corpus, Dialog, Utterance
 from coreval.embeddings import EmbeddingMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries wait 0.01 s, not the policy's 0.5 s; tests of the policy's
+    waits set ``_http.BACKOFF_S`` themselves."""
+    monkeypatch.setattr(_http, "BACKOFF_S", 0.01)
 
 
 def make_dialog(dialog_id: str, condition: str, texts: list[str],
@@ -112,7 +120,9 @@ class MockService:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll lets close() return at once rather than after up to 0.5 s
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
         self.url = f"http://127.0.0.1:{self.server.server_port}"
 

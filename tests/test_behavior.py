@@ -201,7 +201,7 @@ class TestToxicity:
             return 200, {"scores": [0.4]}
 
         service = mock_service(flaky)
-        assert toxicity(service.url, ["hello"], backoff=0.01) == [0.4]
+        assert toxicity(service.url, ["hello"]) == [0.4]
 
     @pytest.mark.parametrize("n", [0, 1, 32, 33, 90])
     def test_batches_of_at_most_32(self, mock_service, n):
@@ -266,7 +266,7 @@ class TestToxicity:
 
         service = mock_service(handler)
         texts = [f"t{i}" for i in range(70)]
-        assert toxicity(service.url, texts, backoff=0.01) == text_scores(texts)
+        assert toxicity(service.url, texts) == text_scores(texts)
         firsts = sorted(payload["texts"][0] for _, payload in service.calls)
         assert firsts == ["t0", "t32", "t32", "t64"]
 

@@ -203,6 +203,22 @@ class TestAnalyze:
         assert "cluster_seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value,name", [
+        ("--min-count", "0", "zipf_min_count"), ("--min-count", "-4", "zipf_min_count"),
+        ("--max-rank", "0", "zipf_max_rank"), ("--heaps-stride", "0", "heaps_stride"),
+    ])
+    def test_fit_option_below_one_is_validation_error_before_work(
+            self, tmp_path, capsys, mock_service, option, value, name):
+        # no embedding request shows that nothing was clustered or fitted first
+        service = mock_service(echo_embed_handler())
+        out = tmp_path / "out"
+        code = main(["analyze", FIXTURE_CORPUS, "--embed-endpoint", service.url,
+                     option, value, "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"coreval: error: {name} must be >= 1, got {value}\n"
+        assert service.calls == []
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_csv(self, tmp_path):
@@ -235,6 +251,16 @@ class TestFit:
                                            f"both be dumped to rankfreq_x.csv\n")
         assert not out.exists()
         assert main(["fit", *map(str, paths), "--out-dir", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("option,value", [
+        ("--min-count", "0"), ("--min-count", "-4"), ("--max-rank", "0"),
+    ])
+    def test_fit_option_below_one_is_validation_error(self, tmp_path, capsys, option, value):
+        out = tmp_path / "out"
+        assert main(["fit", FIXTURE_CORPUS, option, value, "--out-dir", str(out)]) == \
+            EXIT_VALIDATION
+        assert "min_count and max_rank must be >= 1" in capsys.readouterr().err
+        assert not (out / "fit.csv").exists()
 
 
 class TestBehaviorCommand:
@@ -537,6 +563,34 @@ class TestGenerate:
 
     def test_missing_required_flag_exits_one(self):
         assert main(["generate", "--endpoint-a", "http://x"]) == EXIT_VALIDATION
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["generate", "analyze", "behavior"])
+    def test_threads_below_one_exit_one_before_any_request(self, tmp_path, capsys,
+                                                           mock_service, command, threads):
+        # each handler answers well, so only the thread count can stop the run
+        handlers = {"generate": echo_chat_handler, "analyze": echo_embed_handler(),
+                    "behavior": lambda path, payload: (200, {"scores": [0.5] * len(
+                        payload["texts"])})}
+        service = mock_service(handlers[command])
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--endpoint-a", service.url, "--endpoint-b", service.url,
+                         "--model-a", "mA", "--model-b", "mB", "--condition", "neutral",
+                         "--dialogs", "1", "--turns", "1", "--out", str(tmp_path / "gen.jsonl")],
+            "analyze": ["analyze", FIXTURE_CORPUS, "--embed-endpoint", service.url,
+                        "--out-dir", str(out)],
+            "behavior": ["behavior", FIXTURE_CORPUS, "--toxicity-endpoint", service.url,
+                         "--out-dir", str(out)],
+        }[command]
+        assert main(argv + ["--threads", threads]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"coreval: error: max_inflight must be >= 1, got {threads}\n"
+        assert service.calls == []
+        assert not (tmp_path / "gen.jsonl").exists()
+        assert not (out / "report.json").exists() and not (out / "behavior.csv").exists()
 
 
 # options a subcommand does not read, each with a value it would parse

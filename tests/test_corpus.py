@@ -10,7 +10,6 @@ import pytest
 
 from coreval.corpus import (
     CorpusError, TokenStats, extract_ngrams, parse_corpus, rank_frequency, tokenize, vocab_growth,
-    write_corpus,
 )
 from conftest import dialog_jsonl_line, make_corpus
 
@@ -120,17 +119,6 @@ class TestParseCorpus:
         ])
         corpus = parse_corpus(io.StringIO(lines))
         assert [d.id for d in corpus.dialogs] == ["aa", "zz"]
-
-    def test_write_round_trip(self):
-        lines = "\n".join([
-            dialog_jsonl_line("a", "cooperative", ["one two", "three four"]),
-            dialog_jsonl_line("b", "competitive", ["five six", "seven eight", "nine ten"]),
-        ])
-        corpus = parse_corpus(io.StringIO(lines))
-        buf = io.StringIO()
-        write_corpus(corpus, buf)
-        again = parse_corpus(io.StringIO(buf.getvalue()))
-        assert again == corpus
 
 
 class TestExtractNgrams:

@@ -1,6 +1,6 @@
-"""Embedding I/O, endpoint client, and cosine/stagnation tests."""
+"""Embedding I/O, endpoint client, and stagnation tests."""
 
-import io
+import itertools
 import json
 
 import numpy as np
@@ -8,14 +8,23 @@ import pytest
 
 from coreval._http import EndpointError
 from coreval.embeddings import (
-    EmbeddingError, EmbeddingMatrix, cosine, dialog_stagnation, fetch_embeddings,
+    EmbeddingError, EmbeddingMatrix, dialog_stagnation, fetch_embeddings,
     load_embeddings, save_embeddings,
 )
 from conftest import echo_embed_handler, make_corpus, matrix_for
 
 
-def embed_jsonl(records) -> io.StringIO:
-    return io.StringIO("\n".join(json.dumps(r) for r in records))
+@pytest.fixture
+def embed_jsonl(tmp_path):
+    """Writes records to a new embedding JSONL file in tmp_path; returns its path."""
+    paths = (tmp_path / f"emb{i}.jsonl" for i in itertools.count())
+
+    def write(records):
+        path = next(paths)
+        path.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+        return path
+
+    return write
 
 
 @pytest.fixture
@@ -24,7 +33,7 @@ def two_turn_corpus():
 
 
 class TestLoadEmbeddings:
-    def test_basic(self, two_turn_corpus):
+    def test_basic(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 0.0, 0.0, 0.0]},
             {"dialog_id": "d1", "turn_index": 1, "vector": [0.0, 1.0, 0.0, 0.0]},
@@ -33,12 +42,12 @@ class TestLoadEmbeddings:
         assert matrix.rows.shape == (2, 4)
         assert matrix.rows.shape[1] == 4
 
-    def test_missing_key_named(self, two_turn_corpus):
+    def test_missing_key_named(self, two_turn_corpus, embed_jsonl):
         records = [{"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]}]
         with pytest.raises(EmbeddingError, match=r"missing embedding.*'d1', 1"):
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
-    def test_shuffled_order_same_matrix(self, two_turn_corpus):
+    def test_shuffled_order_same_matrix(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]},
             {"dialog_id": "d1", "turn_index": 1, "vector": [3.0, 4.0]},
@@ -47,7 +56,7 @@ class TestLoadEmbeddings:
         shuffled_matrix = load_embeddings(embed_jsonl(records[::-1]), two_turn_corpus)
         assert np.array_equal(sorted_matrix.rows, shuffled_matrix.rows)
 
-    def test_duplicate_key(self, two_turn_corpus):
+    def test_duplicate_key(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0]},
             {"dialog_id": "d1", "turn_index": 0, "vector": [2.0]},
@@ -55,7 +64,7 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match="duplicate key"):
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
-    def test_dimension_mismatch(self, two_turn_corpus):
+    def test_dimension_mismatch(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]},
             {"dialog_id": "d1", "turn_index": 1, "vector": [3.0]},
@@ -63,7 +72,7 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match="dimension"):
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
-    def test_non_finite_rejected(self, two_turn_corpus):
+    def test_non_finite_rejected(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, float("nan")]},
             {"dialog_id": "d1", "turn_index": 1, "vector": [3.0, 4.0]},
@@ -71,7 +80,7 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match="non-finite"):
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
-    def test_zero_norm_rejected(self, two_turn_corpus):
+    def test_zero_norm_rejected(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [0.0, 0.0]},
             {"dialog_id": "d1", "turn_index": 1, "vector": [3.0, 4.0]},
@@ -80,7 +89,7 @@ class TestLoadEmbeddings:
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
     @pytest.mark.parametrize("index", [1.7, True, "1"])
-    def test_turn_index_must_be_json_integer(self, two_turn_corpus, index):
+    def test_turn_index_must_be_json_integer(self, two_turn_corpus, index, embed_jsonl):
         # int() would read each of these as turn 1
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]},
@@ -89,7 +98,7 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match="^line 2: bad record: turn_index "):
             load_embeddings(embed_jsonl(records), two_turn_corpus)
 
-    def test_extra_keys_tolerated(self, two_turn_corpus):
+    def test_extra_keys_tolerated(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, 2.0]},
             {"dialog_id": "d1", "turn_index": 1, "vector": [3.0, 4.0]},
@@ -137,20 +146,20 @@ class TestFetchEmbeddings:
             return echo_embed_handler()(path, payload)
 
         service = mock_service(flaky)
-        matrix = fetch_embeddings(service.url, two_turn_corpus, batch_size=8, backoff=0.01)
+        matrix = fetch_embeddings(service.url, two_turn_corpus, batch_size=8)
         assert matrix.rows.shape == (2, 4)
         assert state["n"] == 3
 
     def test_persistent_failure_raises(self, two_turn_corpus, mock_service):
         service = mock_service(lambda path, payload: (500, {"error": "down"}))
         with pytest.raises(EndpointError):
-            fetch_embeddings(service.url, two_turn_corpus, backoff=0.01)
+            fetch_embeddings(service.url, two_turn_corpus)
         assert len(service.calls) == 3
 
     def test_4xx_fails_immediately(self, two_turn_corpus, mock_service):
         service = mock_service(lambda path, payload: (404, {"error": "nope"}))
         with pytest.raises(EndpointError):
-            fetch_embeddings(service.url, two_turn_corpus, backoff=0.01)
+            fetch_embeddings(service.url, two_turn_corpus)
         assert len(service.calls) == 1
 
     def test_dimension_inconsistency_across_batches(self, mock_service):
@@ -186,32 +195,6 @@ class TestFetchEmbeddings:
         assert service.calls[0][1]["model"] == "small-embedder"
 
 
-class TestCosine:
-    def test_identity(self):
-        assert cosine((1, 2, 3), (1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine((1, 0), (0, 1)) == 0.0
-
-    def test_antipodal(self):
-        assert cosine((1, 0), (-1, 0)) == -1.0
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        u = rng.normal(size=8)
-        v = rng.normal(size=8)
-        for c in (0.001, 3.0, 1e6):
-            assert abs(cosine(c * u, v) - cosine(u, v)) < 1e-12
-
-    def test_zero_norm_error(self):
-        with pytest.raises(EmbeddingError, match="zero-norm"):
-            cosine((0, 0), (1, 2))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(EmbeddingError, match="mismatch"):
-            cosine((1, 2), (1, 2, 3))
-
-
 class TestDialogStagnation:
     def test_identical_rows(self):
         rows = np.tile(np.array([1.0, 2.0, 0.5]), (4, 1))
@@ -238,7 +221,11 @@ class TestDialogStagnation:
             # anti-parallel pairs: a row followed by a scaled negation of it
             for j in np.flatnonzero(rng.random(len(rows) - 1) < 0.3) + 1:
                 rows[j] = -rng.uniform(0.1, 10.0) * rows[j - 1]
-            expected = np.mean([cosine(rows[j], rows[j + 1]) for j in range(len(rows) - 1)])
+            expected = np.mean([
+                float(np.dot(rows[j], rows[j + 1])
+                      / (np.linalg.norm(rows[j]) * np.linalg.norm(rows[j + 1])))
+                for j in range(len(rows) - 1)
+            ])
             assert abs(dialog_stagnation(rows) - expected) <= 1e-12
 
     def test_zero_norm_row(self):

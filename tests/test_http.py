@@ -36,12 +36,18 @@ def scripted(monkeypatch):
 
         monkeypatch.setattr(_http.requests, "post", post)
         monkeypatch.setattr(_http.time, "sleep", sleeps.append)
+        monkeypatch.setattr(_http, "BACKOFF_S", 0.5)  # the policy's own first wait
         return calls, sleeps
 
     return install
 
 
 OK = FakeResponse(200, body={"ok": True})
+POLICY = (_http.ATTEMPTS, _http.BACKOFF_S)  # read at import, before any fixture sets it
+
+
+def test_policy_is_three_attempts_from_half_a_second():
+    assert POLICY == (3, 0.5)
 
 
 @pytest.mark.parametrize("headers,expected_sleep", [
@@ -53,7 +59,7 @@ OK = FakeResponse(200, body={"ok": True})
 ])
 def test_429_is_retried_after_retry_after(scripted, headers, expected_sleep):
     calls, sleeps = scripted(FakeResponse(429, headers), OK)
-    assert post_json("http://svc", {}, retries=3, backoff=0.5, timeout=5.0) == {"ok": True}
+    assert post_json("http://svc", {}, timeout=5.0) == {"ok": True}
     assert len(calls) == 2
     assert sleeps == [expected_sleep]
 
@@ -62,7 +68,7 @@ def test_429_shares_the_retry_budget(scripted):
     calls, sleeps = scripted(FakeResponse(503), FakeResponse(429, {"Retry-After": "3"}),
                              FakeResponse(429))
     with pytest.raises(EndpointError, match="HTTP 429"):
-        post_json("http://svc", {}, retries=3, backoff=0.5, timeout=30.0)
+        post_json("http://svc", {}, timeout=30.0)
     assert len(calls) == 3
     assert sleeps == [0.5, 3.0]
 
@@ -70,15 +76,16 @@ def test_429_shares_the_retry_budget(scripted):
 def test_other_4xx_fails_at_once(scripted):
     calls, sleeps = scripted(FakeResponse(404), OK)
     with pytest.raises(EndpointError, match="HTTP 404"):
-        post_json("http://svc", {}, retries=3)
+        post_json("http://svc", {})
     assert len(calls) == 1
     assert sleeps == []
 
 
-def test_connection_error_backs_off_exponentially(scripted):
+def test_connection_error_backs_off_exponentially(scripted, monkeypatch):
     calls, sleeps = scripted(*[requests.ConnectionError("refused")] * 3)
+    monkeypatch.setattr(_http, "BACKOFF_S", 0.25)
     with pytest.raises(EndpointError, match="refused"):
-        post_json("http://svc", {}, retries=3, backoff=0.25)
+        post_json("http://svc", {})
     assert len(calls) == 3
     assert sleeps == [0.25, 0.5]
 
@@ -87,6 +94,6 @@ def test_connection_error_backs_off_exponentially(scripted):
 def test_reply_that_is_not_an_object_fails_at_once(scripted, body):
     calls, sleeps = scripted(FakeResponse(200, body=body), OK)
     with pytest.raises(EndpointError, match="not a JSON object"):
-        post_json("http://svc", {}, retries=3)
+        post_json("http://svc", {})
     assert len(calls) == 1
     assert sleeps == []

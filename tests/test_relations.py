@@ -1,0 +1,130 @@
+"""End-to-end relations through ``cli.main`` that any correct implementation keeps.
+
+The goldens pin one fixture's bytes; these relations hold for any input:
+analyzing one condition alone gives that condition's sample, exact rescaling
+of the embeddings and reordering of the input lines change no output, the
+thread count changes no output, and a planted Zipf effect is found in the
+planted direction.
+"""
+
+import csv
+import json
+from itertools import combinations
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coreval.cli import EXIT_OK, main
+from coreval.lawfit import synth_zipf_stream
+from coreval.report import fmt6
+from conftest import DATA_DIR, dialog_jsonl_line, echo_embed_handler
+
+FIXTURE_CORPUS = DATA_DIR / "fixture_corpus.jsonl"
+FIXTURE_EMBEDDINGS = DATA_DIR / "fixture_embeddings.jsonl"
+OUTPUTS = ("report.json", "per_dialog.csv", "condition_samples.csv", "summary.csv")
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def analyze(out, *args) -> dict[str, bytes]:
+    assert main(["analyze", *map(str, args), "--out-dir", str(out)]) == EXIT_OK
+    return {name: (Path(out) / name).read_bytes() for name in OUTPUTS}
+
+
+def test_one_condition_alone_gives_its_condition_sample(tmp_path):
+    analyze(tmp_path / "full", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS)
+    full = read_csv(tmp_path / "full" / "condition_samples.csv")
+    lines = FIXTURE_CORPUS.read_text().splitlines(keepends=True)
+    assert len(full) == 3
+    for row in full:
+        part = tmp_path / f"{row['condition']}.jsonl"
+        part.write_text("".join(line for line in lines
+                                if json.loads(line)["condition"] == row["condition"]))
+        analyze(tmp_path / row["condition"], part, "--embeddings", FIXTURE_EMBEDDINGS)
+        report = json.loads((tmp_path / row["condition"] / "report.json").read_text())
+        breakdown = report["corpora"][0]["core_breakdown"]
+        assert [fmt6(breakdown[key]) for key in ("core", "alpha_used", "beta_used")] == \
+            [row["core"], row["zipf_alpha"], row["heaps_beta"]]
+
+
+def test_doubling_every_embedding_changes_no_output(tmp_path):
+    # scaling by a power of two is exact in floating point
+    scaled = tmp_path / "scaled.jsonl"
+    with open(FIXTURE_EMBEDDINGS) as src, open(scaled, "w") as dst:
+        for line in src:
+            record = json.loads(line)
+            record["vector"] = [2.0 * x for x in record["vector"]]
+            dst.write(json.dumps(record) + "\n")
+    assert analyze(tmp_path / "scaled", FIXTURE_CORPUS, "--embeddings", scaled) == \
+        analyze(tmp_path / "plain", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS)
+
+
+def test_shuffled_input_lines_change_no_output(tmp_path, monkeypatch):
+    # both runs read files of the same relative names, so the corpus labels agree
+    rng = np.random.default_rng(0)
+    outputs = []
+    for name, shuffle in (("plain", False), ("shuffled", True)):
+        (tmp_path / name).mkdir()
+        for src in (FIXTURE_CORPUS, FIXTURE_EMBEDDINGS):
+            lines = src.read_text().splitlines(keepends=True)
+            if shuffle:
+                lines = [lines[i] for i in rng.permutation(len(lines))]
+            (tmp_path / name / src.name).write_text("".join(lines))
+        monkeypatch.chdir(tmp_path / name)
+        outputs.append(analyze("out", FIXTURE_CORPUS.name, "--embeddings",
+                               FIXTURE_EMBEDDINGS.name))
+    assert outputs[0] == outputs[1]
+
+
+def test_thread_count_changes_no_output(tmp_path, mock_service):
+    service = mock_service(echo_embed_handler(dim=8))
+    outputs = [analyze(tmp_path / f"t{threads}", FIXTURE_CORPUS, "--embed-endpoint",
+                       service.url, "--embed-batch", 7, "--threads", threads)
+               for threads in (1, 4)]
+    assert outputs[0] == outputs[1]
+    assert len(service.calls) == 2 * -(-57 // 7)  # 57 utterances in batches of 7
+
+
+# Zipf exponents planted per condition: cooperative play is the steepest
+PLANTED_ALPHA = {"cooperative": 1.4, "neutral": 1.15, "competitive": 0.9}
+
+
+def test_planted_zipf_effect_is_found_in_its_direction(tmp_path):
+    rng = np.random.default_rng(0)
+    corpora = []
+    for c in range(8):
+        corpus, embeddings = tmp_path / f"corpus{c}.jsonl", tmp_path / f"emb{c}.jsonl"
+        dialogs, vectors = [], []
+        for condition, alpha in PLANTED_ALPHA.items():
+            for d in range(5):
+                dialog_id = f"m1__m2__{condition}__{d}"
+                seed = 1000 * c + len(vectors)  # one stream per utterance
+                texts = [" ".join(synth_zipf_stream(alpha, 200, 20, seed=seed + t))
+                         for t in range(6)]
+                dialogs.append(dialog_jsonl_line(dialog_id, condition, texts) + "\n")
+                vectors += [json.dumps({"dialog_id": dialog_id, "turn_index": t,
+                                        "vector": rng.normal(size=16).tolist()}) + "\n"
+                            for t in range(6)]
+        corpus.write_text("".join(dialogs))
+        embeddings.write_text("".join(vectors))
+        corpora.append((corpus, embeddings))
+    args = [corpus for corpus, _ in corpora]
+    for _, embeddings in corpora:
+        args += ["--embeddings", embeddings]
+    analyze(tmp_path / "out", *args)
+    assert main(["compare", str(tmp_path / "out" / "condition_samples.csv"),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    rows = {row["comparison"]: row for row in read_csv(tmp_path / "out" / "compare.csv")
+            if row["metric"] == "zipf_alpha"}
+    assert len(rows) == 3
+    for a, b in combinations(sorted(PLANTED_ALPHA), 2):
+        row = rows[f"{a}_vs_{b}"]
+        # every one of the 8 x 8 pairs is ordered as planted
+        assert float(row["u"]) == (64 if PLANTED_ALPHA[a] > PLANTED_ALPHA[b] else 0)
+        assert float(row["p_value"]) == pytest.approx(2 / comb(16, 8), rel=1e-5)
+        assert row["method"] == "exact"

@@ -64,7 +64,7 @@ class TestBuildMessages:
 
 def quick_config(url, **kwargs) -> GenerationConfig:
     defaults = dict(endpoint_a=url, endpoint_b=url, model_a="mockA", model_b="mockB",
-                    condition="neutral", dialogs=2, turns=4, backoff=0.01)
+                    condition="neutral", dialogs=2, turns=4)
     defaults.update(kwargs)
     return GenerationConfig(**defaults)
 
