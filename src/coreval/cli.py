@@ -35,27 +35,25 @@ EXIT_SERVICE = 3
 EMBED_ENDPOINT_ENV = "CORE_EMBED_ENDPOINT"
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems are validation errors under this tool's exit-code contract
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(f"{self.prog}: error: {message}")
+def _positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="coreval",
-                     description="Conversational robustness scoring and language-law analysis "
-                                 "for multi-agent dialog corpora.")
+    parser = argparse.ArgumentParser(
+        prog="coreval", description="Conversational robustness scoring and language-law "
+                                    "analysis for multi-agent dialog corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand takes exactly the options its handler reads
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=4,
+    threads.add_argument("--threads", type=_positive_int, default=4,
                          help="max concurrent endpoint requests (default 4)")
     ngram = argparse.ArgumentParser(add_help=False)
     ngram.add_argument("--ngram", type=int, default=3, help="n-gram order (default 3)")
@@ -88,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-endpoint", default=None,
                    help=f"embedding service URL (default ${EMBED_ENDPOINT_ENV})")
     p.add_argument("--embed-model", default=None)
-    p.add_argument("--embed-batch", type=int, default=32)
+    p.add_argument("--embed-batch", type=_positive_int, default=32)
     p.add_argument("--cluster-seed", type=int, default=42, help="clustering seed (default 42)")
     p.add_argument("--min-count", type=int, default=2, help="zipf fit count filter (default 2)")
     p.add_argument("--max-rank", type=int, default=None, help="zipf fit rank cutoff (default none)")
@@ -306,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error, or the help
+        return EXIT_VALIDATION if exc.code else EXIT_OK
+    try:
         started = utc_now()
         code = _HANDLERS[args.command](args)
         # a handler that raised gets no manifest
@@ -317,9 +318,6 @@ def main(argv: list[str] | None = None) -> int:
                        seeds={k: v for k, v in config.items() if k.endswith("_seed")},
                        started_at=started, finished_at=utc_now())
         return code
-    except _UsageError as exc:
-        print(exc.message, file=sys.stderr)
-        return EXIT_VALIDATION
     except EndpointError as exc:
         print(f"coreval: external service failure: {exc}", file=sys.stderr)
         return EXIT_SERVICE

@@ -6,8 +6,8 @@ behavioral profiles) consumes the token streams and count tables produced
 here, so iteration order is pinned: dialogs ascending by id, utterances by
 turn index.
 Each statistic tokenizes each utterance once; the benchmark's tracer test
-pins that count until the benchmark is re-pinned (ROADMAP item 2), so the
-statistics share no token pass.
+(perfbench/tests/test_perfbench.py::test_tracer_catches_calls_from_every_binding)
+pins that count, so the statistics share no token pass.
 """
 
 from __future__ import annotations

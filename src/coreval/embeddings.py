@@ -24,7 +24,9 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """One float64 row per corpus utterance, aligned to corpus iteration order."""
+    """One float64 row per utterance key, each finite and non-zero (the modes
+    cluster the rows, and the stagnation term takes cosines between them).
+    A matrix built for a corpus holds its rows in corpus iteration order."""
 
     keys: tuple[tuple[str, int], ...]
     rows: np.ndarray
@@ -37,8 +39,12 @@ class EmbeddingMatrix:
             raise EmbeddingError(f"{rows.shape[0]} rows for {len(self.keys)} keys")
         if rows.shape[1] < 1:
             raise EmbeddingError("embedding dimension must be >= 1")
-        if not np.all(np.isfinite(rows)):
-            raise EmbeddingError("non-finite value in embedding matrix")
+        finite = np.isfinite(rows).all(axis=1)
+        bad = ~finite | (np.einsum("ij,ij->i", rows, rows) == 0.0)
+        if bad.any():
+            first = int(bad.argmax())
+            problem = "zero-norm vector" if finite[first] else "non-finite value in vector"
+            raise EmbeddingError(f"{self.keys[first]}: {problem}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_index", {k: i for i, k in enumerate(self.keys)})
         if len(self._index) != len(self.keys):
@@ -59,10 +65,6 @@ def _check_vector(key: tuple[str, int], vec: np.ndarray, dim: int | None) -> int
         raise EmbeddingError(f"{key}: vector must be a non-empty 1-D array")
     if dim is not None and vec.size != dim:
         raise EmbeddingError(f"{key}: dimension {vec.size} != expected {dim}")
-    if not np.all(np.isfinite(vec)):
-        raise EmbeddingError(f"{key}: non-finite value in vector")
-    if float(np.linalg.norm(vec)) == 0.0:
-        raise EmbeddingError(f"{key}: zero-norm vector")
     return int(vec.size)
 
 
@@ -71,6 +73,7 @@ def load_embeddings(path: str | Path, corpus: Corpus) -> EmbeddingMatrix:
 
     Each line is {"dialog_id": str, "turn_index": int, "vector": [...]}.
     File order is irrelevant; alignment is by (dialog_id, turn_index).
+    Every line is validated, also one whose key the corpus does not hold.
     Raises EmbeddingError naming the first missing or duplicated key.
     """
     by_key: dict[tuple[str, int], np.ndarray] = {}
@@ -96,12 +99,11 @@ def load_embeddings(path: str | Path, corpus: Corpus) -> EmbeddingMatrix:
             dim = _check_vector(key, vec, dim)
             by_key[key] = vec
 
-    keys = tuple(corpus.utterance_keys())
-    missing = [k for k in keys if k not in by_key]
-    if missing:
-        raise EmbeddingError(f"missing embedding for utterance {missing[0]}")
-    rows = np.vstack([by_key[k] for k in keys])
-    return EmbeddingMatrix(keys=keys, rows=rows)
+    # an empty file gives a 0-row matrix, and subset names the first missing key
+    matrix = EmbeddingMatrix(keys=tuple(by_key),
+                             rows=np.vstack(list(by_key.values())) if by_key else np.empty((0, 1)))
+    del by_key  # the per-line arrays are not kept alive next to both matrices
+    return matrix.subset(corpus)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:

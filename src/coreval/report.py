@@ -76,9 +76,8 @@ def breakdown_json(b: CoreBreakdown) -> dict:
 @dataclass(frozen=True)
 class CorpusAnalysis:
     label: str
-    corpus: Corpus
     breakdown: CoreBreakdown
-    per_dialog: list[tuple[str, CoreBreakdown]]
+    per_dialog: list[tuple[str, str, CoreBreakdown]]  # (dialog id, condition, breakdown)
     condition_samples: list[dict]
 
 
@@ -92,7 +91,8 @@ def analyze_corpus(label: str, corpus: Corpus, matrix: EmbeddingMatrix,
     pair to score; it gets no sample, and a warning is logged."""
     assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
     breakdown = compute_core(corpus, matrix, config, assignment=assignment)
-    per_dialog = core_per_dialog(corpus, matrix, config, assignment)
+    per_dialog = [(d.id, d.condition, b) for d, (_, b) in
+                  zip(corpus.dialogs, core_per_dialog(corpus, matrix, config, assignment))]
 
     samples = []
     for condition in sorted({d.condition for d in corpus.dialogs}):
@@ -113,34 +113,25 @@ def analyze_corpus(label: str, corpus: Corpus, matrix: EmbeddingMatrix,
             "unique_tokens": len(stats.entries),
             "total_tokens": stats.total_tokens,
         })
-    return CorpusAnalysis(label=label, corpus=corpus, breakdown=breakdown,
-                          per_dialog=per_dialog, condition_samples=samples)
+    return CorpusAnalysis(label=label, breakdown=breakdown, per_dialog=per_dialog,
+                          condition_samples=samples)
 
 
 def analysis_report_json(analyses: list[CorpusAnalysis], config: CoreConfig) -> dict:
-    corpora = []
-    for a in analyses:
-        conditions = {d.id: d.condition for d in a.corpus.dialogs}
-        corpora.append({
-            "corpus": a.label,
-            "core_breakdown": breakdown_json(a.breakdown),
-            "per_dialog": [
-                {"dialog_id": did, "condition": conditions[did], **breakdown_json(b)}
-                for did, b in a.per_dialog
-            ],
-        })
+    corpora = [{
+        "corpus": a.label,
+        "core_breakdown": breakdown_json(a.breakdown),
+        "per_dialog": [{"dialog_id": did, "condition": condition, **breakdown_json(b)}
+                       for did, condition, b in a.per_dialog],
+    } for a in analyses]
     return {"config": asdict(config), "corpora": corpora}
 
 
 def per_dialog_rows(analyses: list[CorpusAnalysis]) -> list[list[str]]:
     """One PER_DIALOG_HEADER row per dialog."""
-    rows = []
-    for a in analyses:
-        conditions = {d.id: d.condition for d in a.corpus.dialogs}
-        for did, b in a.per_dialog:
-            rows.append([did, conditions[did], fmt6(b.core), fmt6(b.entropy_term),
-                         fmt6(b.repetition_term), fmt6(b.stagnation_term), flags_str(b.flags)])
-    return rows
+    return [[did, condition, fmt6(b.core), fmt6(b.entropy_term), fmt6(b.repetition_term),
+             fmt6(b.stagnation_term), flags_str(b.flags)]
+            for a in analyses for did, condition, b in a.per_dialog]
 
 
 def condition_sample_rows(analyses: list[CorpusAnalysis]) -> list[list[str]]:
@@ -157,9 +148,8 @@ def summary_rows(analyses: list[CorpusAnalysis], ddof: int = 0) -> list[list[str
     core_by_cond: dict[str, list[float]] = {}
     sample_by_cond: dict[str, list[dict]] = {}
     for a in analyses:
-        conditions = {d.id: d.condition for d in a.corpus.dialogs}
-        for did, b in a.per_dialog:
-            core_by_cond.setdefault(conditions[did], []).append(b.core)
+        for _, condition, b in a.per_dialog:
+            core_by_cond.setdefault(condition, []).append(b.core)
         for s in a.condition_samples:
             sample_by_cond.setdefault(s["condition"], []).append(s)
 

@@ -176,6 +176,21 @@ class TestAnalyze:
         assert len(read_csv(out / "per_dialog.csv")) == 12
         assert read_csv(out / "condition_samples.csv") == []
 
+    def test_bad_vector_for_a_key_outside_the_corpus_is_validation_error(self, tmp_path,
+                                                                         capsys):
+        # every line of the file is checked, not only those the corpus reads
+        lines = Path(FIXTURE_EMBEDDINGS).read_text().splitlines()
+        dim = len(json.loads(lines[0])["vector"])
+        extra = {"dialog_id": "not_in_corpus", "turn_index": 0, "vector": [float("nan")] * dim}
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("\n".join([*lines, json.dumps(extra)]) + "\n")
+        out = tmp_path / "out"
+        code = main(["analyze", FIXTURE_CORPUS, "--embeddings", str(emb), "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "coreval: error: ('not_in_corpus', 0): non-finite value in vector\n"
+        assert not list(out.iterdir())
+
     def test_directory_input_is_validation_error(self, tmp_path, capsys):
         # opening a directory raises IsADirectoryError, an OSError but not a
         # FileNotFoundError: it must exit 1 with a message, not a traceback
@@ -586,11 +601,43 @@ class TestThreads:
                          "--out-dir", str(out)],
         }[command]
         assert main(argv + ["--threads", threads]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == \
-            f"coreval: error: max_inflight must be >= 1, got {threads}\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: coreval {command} ")
+        assert err.endswith(
+            f"\ncoreval {command}: error: argument --threads: must be >= 1, got {threads}\n")
         assert service.calls == []
         assert not (tmp_path / "gen.jsonl").exists()
         assert not (out / "report.json").exists() and not (out / "behavior.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS, "--threads", "0"],
+        ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS, "--embed-batch", "0"],
+        ["behavior", FIXTURE_CORPUS, "--threads", "-3"],
+    ], ids=["analyze-threads", "analyze-embed-batch", "behavior-threads"])
+    def test_count_below_one_is_usage_error_where_no_request_is_sent(
+            self, tmp_path, capsys, monkeypatch, mock_service, argv):
+        # these runs send no request, yet the count is still checked first;
+        # a request, if one were sent, would reach the service
+        service = mock_service(echo_embed_handler())
+        monkeypatch.setenv("CORE_EMBED_ENDPOINT", service.url)
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == EXIT_VALIDATION
+        command, option, value = argv[0], argv[-2], argv[-1]
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: coreval {command} ")
+        assert err.endswith(
+            f"\ncoreval {command}: error: argument {option}: must be >= 1, got {value}\n")
+        assert service.calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--threads", "--embed-batch"])
+    def test_non_integer_count_keeps_argparse_wording(self, tmp_path, capsys, option):
+        argv = ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS,
+                "--out-dir", str(tmp_path / "out"), option, "x"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(
+            f"\ncoreval analyze: error: argument {option}: invalid int value: 'x'\n")
+        assert not list(tmp_path.iterdir())
 
 
 # options a subcommand does not read, each with a value it would parse
@@ -625,6 +672,14 @@ class TestOptions:
         assert err.startswith("usage: coreval ")
         assert err.endswith(f"\ncoreval: error: unrecognized arguments: {option} {value}\n")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]],
+                             ids=["coreval", "analyze"])
+    def test_help_returns_zero(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: {' '.join(['coreval', *argv[:-1]])} ")
+        assert captured.err == ""
 
 
 class TestRoundTrips:

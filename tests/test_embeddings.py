@@ -56,6 +56,13 @@ class TestLoadEmbeddings:
         shuffled_matrix = load_embeddings(embed_jsonl(records[::-1]), two_turn_corpus)
         assert np.array_equal(sorted_matrix.rows, shuffled_matrix.rows)
 
+    def test_empty_file_names_the_first_missing_key(self, two_turn_corpus, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("")
+        with pytest.raises(EmbeddingError,
+                           match=r"^missing embedding for utterance \('d1', 0\)$"):
+            load_embeddings(path, two_turn_corpus)
+
     def test_duplicate_key(self, two_turn_corpus, embed_jsonl):
         records = [
             {"dialog_id": "d1", "turn_index": 0, "vector": [1.0]},
@@ -254,6 +261,15 @@ class TestEmbeddingMatrix:
     def test_row_count_mismatch(self):
         with pytest.raises(EmbeddingError):
             EmbeddingMatrix(keys=(("d1", 0),), rows=np.ones((2, 3)))
+
+    @pytest.mark.parametrize("row,problem", [([0.0, 0.0], "zero-norm vector"),
+                                             ([1.0, np.nan], "non-finite value in vector")])
+    def test_bad_row_names_its_key(self, row, problem):
+        # the first bad row is named, though a later one is bad too
+        keys = (("d1", 0), ("d1", 1), ("d2", 0))
+        with pytest.raises(EmbeddingError) as info:
+            EmbeddingMatrix(keys=keys, rows=np.array([[1.0, 2.0], row, [np.inf, 0.0]]))
+        assert str(info.value) == f"('d1', 1): {problem}"
 
     def test_subset_alignment(self):
         corpus = make_corpus([("a", "neutral", ["x y", "z w"]),
