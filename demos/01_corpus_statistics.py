@@ -39,7 +39,7 @@ print(f"  total tokens: {stats.total_tokens}, distinct: {len(stats.entries)}\n")
 curve = vocab_growth(corpus, stride=5)
 print("vocabulary growth (n tokens -> v types):", list(curve.points), "\n")
 
-table = extract_ngrams(corpus, 2)
-repeated = {ng: c for ng, c in table.counts.items() if c > 1}
-print(f"bigrams: {table.total_occurrences} occurrences, "
-      f"{len(table.counts)} types, repeated types: {repeated}")
+bigrams = extract_ngrams(corpus, 2)
+repeated = {ng: c for ng, c in bigrams.items() if c > 1}
+print(f"bigrams: {sum(bigrams.values())} occurrences, "
+      f"{len(bigrams)} types, repeated types: {repeated}")

@@ -14,7 +14,6 @@ from .corpus import (
     Corpus,
     CorpusError,
     Dialog,
-    NgramTable,
     TokenStats,
     Utterance,
     VocabGrowthCurve,
@@ -82,7 +81,6 @@ __all__ = [
     "GenerationResult",
     "ModeAssignment",
     "ModeDistribution",
-    "NgramTable",
     "SummaryRow",
     "TokenStats",
     "UTestResult",

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._http import EndpointError, post_json
-from .corpus import Dialog, NgramTable, ngram_counts, tokenize
+from .corpus import Dialog, ngram_counts, tokenize
 from .metric import repeated_fraction
 
 logger = logging.getLogger(__name__)
@@ -126,7 +126,7 @@ def cue_rate(tokens: Sequence[str], lexicon: CueLexicon) -> float:
 
 
 def repetition_rate(tokens: Sequence[str], n: int) -> float:
-    """Repeated-occurrence fraction of the dialog's own n-gram table.
+    """Repeated-occurrence fraction of the dialog's own n-gram counts.
 
     Same semantics as the score's repetition factor.  A dialog shorter than
     n tokens has no windows; that yields 0.0 with a logged warning.
@@ -137,7 +137,7 @@ def repetition_rate(tokens: Sequence[str], n: int) -> float:
         logger.warning("dialog has %d tokens, fewer than n=%d; repetition_rate set to 0",
                        len(tokens), n)
         return 0.0
-    return repeated_fraction(NgramTable.from_counts(n, ngram_counts(tokens, n)))
+    return repeated_fraction(ngram_counts(tokens, n))
 
 
 def sentiment(text: str, lexicon: dict[str, float] | None = None) -> float:

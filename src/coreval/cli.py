@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate, analyze, fit, behavior, compare, report.
-Exit codes: 0 success, 1 validation error, 2 partial generation,
-3 external-service failure.
+Exit codes: 0 success, 1 validation error (out of memory included),
+2 partial generation, 3 external-service failure.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     threads.add_argument("--threads", type=_positive_int, default=4,
                          help="max concurrent endpoint requests (default 4)")
     ngram = argparse.ArgumentParser(add_help=False)
-    ngram.add_argument("--ngram", type=int, default=3, help="n-gram order (default 3)")
+    ngram.add_argument("--ngram", type=_positive_int, default=3, help="n-gram order (default 3)")
     out_dir = argparse.ArgumentParser(add_help=False)
     out_dir.add_argument("--out-dir", default=".", help="directory for output files (default .)")
 
@@ -67,11 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--condition", required=True, choices=CONDITIONS)
-    p.add_argument("--dialogs", type=int, default=30)
-    p.add_argument("--turns", type=int, default=10)
+    p.add_argument("--dialogs", type=_positive_int, default=30)
+    p.add_argument("--turns", type=_positive_int, default=10)
     p.add_argument("--temperature", type=float, default=0.7)
     p.add_argument("--top-p", type=float, default=0.9)
-    p.add_argument("--max-tokens", type=int, default=128)
+    p.add_argument("--max-tokens", type=_positive_int, default=128)
     p.add_argument("--request-seed", type=int, default=None)
     p.add_argument("--concat-prompt", action="store_true",
                    help="send the history as one concatenated user prompt")
@@ -88,9 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-model", default=None)
     p.add_argument("--embed-batch", type=_positive_int, default=32)
     p.add_argument("--cluster-seed", type=int, default=42, help="clustering seed (default 42)")
-    p.add_argument("--min-count", type=int, default=2, help="zipf fit count filter (default 2)")
-    p.add_argument("--max-rank", type=int, default=None, help="zipf fit rank cutoff (default none)")
-    p.add_argument("--heaps-stride", type=int, default=50,
+    p.add_argument("--min-count", type=_positive_int, default=2,
+                   help="zipf fit count filter (default 2)")
+    p.add_argument("--max-rank", type=_positive_int, default=None,
+                   help="zipf fit rank cutoff (default none)")
+    p.add_argument("--heaps-stride", type=_positive_int, default=50,
                    help="vocabulary curve sampling stride (default 50)")
     p.add_argument("--alpha", type=float, default=None,
                    help="explicit repetition exponent (default: fit from corpus)")
@@ -105,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[out_dir],
                        help="fit rank-frequency and vocabulary-growth exponents")
     p.add_argument("inputs", nargs="+", help="dialog JSONL files")
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--stride", type=int, default=50)
+    p.add_argument("--min-count", type=_positive_int, default=2)
+    p.add_argument("--max-rank", type=_positive_int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=50)
     p.add_argument("--dump-rank-frequency", action="store_true",
                    help="also write rank,count CSVs for log-log plotting")
 
@@ -323,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SERVICE
     except (ValueError, OSError) as exc:  # CorpusError, EmbeddingError, FitError included
         print(f"coreval: error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # an input too large for the memory at hand
+        print(f"coreval: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -156,19 +156,6 @@ class VocabGrowthCurve:
             raise CorpusError("curve v cannot exceed n")
 
 
-@dataclass(frozen=True)
-class NgramTable:
-    """Counts of order-n token windows; windows never span dialog boundaries."""
-
-    n: int
-    counts: dict[tuple[str, ...], int]
-    total_occurrences: int
-
-    @classmethod
-    def from_counts(cls, n: int, counts: dict[tuple[str, ...], int]) -> "NgramTable":
-        return cls(n=n, counts=dict(counts), total_occurrences=sum(counts.values()))
-
-
 def parse_corpus(stream: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) -> Corpus:
     """Parse dialog JSONL into a validated Corpus.
 
@@ -235,12 +222,11 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(_windows(tokens, n))
 
 
-def extract_ngrams(corpus: Corpus, n: int) -> NgramTable:
-    """Aggregate n-gram counts per dialog; windows do not cross dialog boundaries."""
+def extract_ngrams(corpus: Corpus, n: int) -> Counter:
+    """N-gram counts summed over the dialogs; windows do not cross dialog boundaries."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    counts = Counter(chain.from_iterable(_windows(d.tokens(), n) for d in corpus.dialogs))
-    return NgramTable.from_counts(n, counts)
+    return Counter(chain.from_iterable(_windows(d.tokens(), n) for d in corpus.dialogs))
 
 
 def _corpus_tokens(corpus: Corpus) -> Iterator[str]:

@@ -124,7 +124,8 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
     Wire protocol: POST {endpoint} {"input": [texts...], "model": str?} ->
     {"data": [{"index": int, "embedding": [...]}, ...]}, matched by index.
     Up to ``max_inflight`` batches are in flight concurrently; assembly is
-    deterministic in corpus order.
+    deterministic in corpus order.  A malformed reply, a bad vector included,
+    raises EndpointError; a bad vector's message names its utterance key.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -160,9 +161,12 @@ def fetch_embeddings(endpoint: str, corpus: Corpus, batch_size: int = 32, *,
 
     vectors = [vec for batch in results for vec in batch]
     dim: int | None = None
-    for key, vec in zip(keys, vectors):
-        dim = _check_vector(key, vec, dim)
-    return EmbeddingMatrix(keys=keys, rows=np.vstack(vectors))
+    try:  # a bad vector in a reply is the service's fault, not the input's
+        for key, vec in zip(keys, vectors):
+            dim = _check_vector(key, vec, dim)
+        return EmbeddingMatrix(keys=keys, rows=np.vstack(vectors))
+    except EmbeddingError as exc:
+        raise EndpointError(f"embedding endpoint returned a bad vector: {exc}") from None
 
 
 def dialog_stagnation(rows: np.ndarray) -> float:

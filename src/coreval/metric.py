@@ -10,7 +10,7 @@ corpus's typical statistical profile.
 ``compute_core`` (one corpus) and ``core_per_dialog`` (each dialog under
 the corpus's modes and exponents) differ only in how they gather the
 inputs; one private helper, ``_breakdown``, turns an entropy term, an
-n-gram table and a raw stagnation into every ``CoreBreakdown``.  Besides
+n-gram ``Counter`` and a raw stagnation into every ``CoreBreakdown``.  Besides
 the fit_fallback and degenerate_modes flags its callers pass in, that
 helper is the only place that sets empty_ngrams, stagnation_clamped and
 no_stagnation_pairs.
@@ -19,12 +19,12 @@ no_stagnation_pairs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Dialog, NgramTable, extract_ngrams, ngram_counts, \
-    rank_frequency, vocab_growth
+from .corpus import Corpus, Dialog, extract_ngrams, ngram_counts, rank_frequency, vocab_growth
 from .embeddings import EmbeddingMatrix, dialog_stagnation
 from .lawfit import FitError, fit_heaps, fit_zipf
 from .modes import ModeAssignment, ModeDistribution, cluster_modes, mode_distribution, \
@@ -91,21 +91,19 @@ class CoreBreakdown:
     flags: frozenset[str]
 
 
-def repeated_fraction(table: NgramTable, counting: str = "occurrences") -> float:
+def repeated_fraction(ngrams: Counter, counting: str = "occurrences") -> float:
     """Fraction of n-gram occurrences whose type occurs more than once.
 
     With counting="types" the fraction is over distinct types instead of
-    occurrences (a sensitivity-analysis variant).  Raises on an empty table;
+    occurrences (a sensitivity-analysis variant).  Raises on empty counts;
     the caller decides the degenerate policy.
     """
-    if table.total_occurrences < 1:
-        raise ValueError("repeated_fraction undefined for an empty n-gram table")
+    if not ngrams:
+        raise ValueError("repeated_fraction undefined for empty n-gram counts")
     if counting == "occurrences":
-        repeated = sum(c for c in table.counts.values() if c > 1)
-        return repeated / table.total_occurrences
+        return sum(c for c in ngrams.values() if c > 1) / sum(ngrams.values())
     if counting == "types":
-        repeated = sum(1 for c in table.counts.values() if c > 1)
-        return repeated / len(table.counts)
+        return sum(1 for c in ngrams.values() if c > 1) / len(ngrams)
     raise ValueError(f"unknown counting mode {counting!r}")
 
 
@@ -168,18 +166,18 @@ def _dialog_row_slices(corpus: Corpus) -> list[tuple[Dialog, slice]]:
     return slices
 
 
-def _breakdown(entropy_term: float, table: NgramTable, raw_stagnation: float | None,
+def _breakdown(entropy_term: float, ngrams: Counter, raw_stagnation: float | None,
                alpha: float, beta: float, config: CoreConfig,
                flags: set[str]) -> CoreBreakdown:
-    """Assemble one breakdown from its entropy term, n-gram table and raw
+    """Assemble one breakdown from its entropy term, n-gram counts and raw
     stagnation (None when the input has no consecutive utterance pair)."""
     flags = set(flags)
-    if table.total_occurrences == 0:
+    if not ngrams:
         ratio = 0.0
         rep_term = 1.0
         flags.add(FLAG_EMPTY_NGRAMS)
     else:
-        ratio = repeated_fraction(table, config.repetition_counting)
+        ratio = repeated_fraction(ngrams, config.repetition_counting)
         rep_term = repetition_penalty(ratio, alpha)
 
     if raw_stagnation is None:
@@ -204,9 +202,9 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
     """Corpus-level CORE breakdown.
 
     Modes are clustered over all utterance embeddings (pass a precomputed
-    ``assignment`` to reuse one); repetition is measured on the pooled
-    per-dialog n-gram table; stagnation is the mean over dialogs with at
-    least two utterances.  A corpus with no such dialog gets
+    ``assignment`` to reuse one); repetition is measured on the per-dialog
+    n-gram counts summed over the corpus; stagnation is the mean over
+    dialogs with at least two utterances.  A corpus with no such dialog gets
     stagnation_term 0 and the no_stagnation_pairs flag.  Raises if the
     corpus has no tokens or the assignment has an empty cluster id.
     """
@@ -248,9 +246,8 @@ def core_per_dialog(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
         counts = np.bincount(corpus_assignment.labels[sl])
         counts = counts[counts > 0]
         dist = ModeDistribution(probs=tuple(float(p) for p in counts / counts.sum()))
-        table = NgramTable.from_counts(config.ngram_n,
-                                       ngram_counts(dialog.tokens(), config.ngram_n))
+        ngrams = ngram_counts(dialog.tokens(), config.ngram_n)
         raw = dialog_stagnation(matrix.rows[sl]) if len(dialog.utterances) >= 2 else None
-        results.append((dialog.id, _breakdown(normalized_entropy(dist, config.k_max), table,
+        results.append((dialog.id, _breakdown(normalized_entropy(dist, config.k_max), ngrams,
                                               raw, alpha, beta, config, flags)))
     return results

@@ -49,8 +49,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition {self.condition!r}")
-        if self.dialogs < 1 or self.turns < 1:
-            raise ValueError("dialogs and turns must be >= 1")
+        if self.dialogs < 1 or self.turns < 1 or self.max_tokens < 1:
+            raise ValueError("dialogs, turns and max_tokens must be >= 1")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.temperature < 0:

@@ -100,8 +100,8 @@ def test_06_repeated_fraction_oracle():
                                                  max_turns=3, max_words=5)
         if sum(len(d.tokens()) for d in corpus.dialogs) > 50:
             continue
-        table = extract_ngrams(corpus, n)
-        if table.total_occurrences == 0:
+        ngrams = extract_ngrams(corpus, n)
+        if not ngrams:
             continue
         # brute-force oracle: recount windows with plain loops
         windows = []
@@ -111,7 +111,7 @@ def test_06_repeated_fraction_oracle():
                 windows.append(tuple(tokens[i : i + n]))
         counts = Counter(windows)
         repeated = sum(c for c in counts.values() if c > 1)
-        assert repeated_fraction(table) == repeated / len(windows)
+        assert repeated_fraction(ngrams) == repeated / len(windows)
         checked += 1
     assert checked >= 150
     ok("6 repeated fraction oracle", f"{checked} corpora matched exactly")

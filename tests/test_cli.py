@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from coreval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_SERVICE, EXIT_VALIDATION, main
+from coreval.metric import CoreConfig
 from coreval.report import fmt6, write_csv
 from conftest import DATA_DIR, dialog_jsonl_line, echo_chat_handler, echo_embed_handler
 
 FIXTURE_CORPUS = str(DATA_DIR / "fixture_corpus.jsonl")
 FIXTURE_EMBEDDINGS = str(DATA_DIR / "fixture_embeddings.jsonl")
+ENDPOINT = "{endpoint}"  # an argv placeholder for the URL of a test's mock service
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,6 +211,19 @@ class TestAnalyze:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == f"coreval: error: {empty}: no dialogs to analyze\n"
 
+    def test_out_of_memory_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 618. MiB for an array")
+
+        monkeypatch.setattr("coreval.report.cluster_modes", no_memory)
+        out = tmp_path / "out"
+        code = main(["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS,
+                     "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "coreval: error: out of memory: Unable to allocate 618. MiB for an array\n")
+        assert not (out / "report.json").exists()
+
     def test_negative_cluster_seed_is_validation_error_before_work(self, tmp_path, capsys):
         # the missing embeddings file shows that no input is read first
         out = tmp_path / "out"
@@ -230,9 +245,15 @@ class TestAnalyze:
         code = main(["analyze", FIXTURE_CORPUS, "--embed-endpoint", service.url,
                      option, value, "--out-dir", str(out)])
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"coreval: error: {name} must be >= 1, got {value}\n"
+        err = capsys.readouterr().err
+        assert err.startswith("usage: coreval analyze ")
+        assert err.endswith(
+            f"\ncoreval analyze: error: argument {option}: must be >= 1, got {value}\n")
         assert service.calls == []
         assert not out.exists()
+        # the library config that the option feeds rejects the value too
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            CoreConfig(**{name: int(value)})
 
 
 class TestFit:
@@ -274,11 +295,30 @@ class TestFit:
         out = tmp_path / "out"
         assert main(["fit", FIXTURE_CORPUS, option, value, "--out-dir", str(out)]) == \
             EXIT_VALIDATION
-        assert "min_count and max_rank must be >= 1" in capsys.readouterr().err
-        assert not (out / "fit.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: coreval fit ")
+        assert err.endswith(
+            f"\ncoreval fit: error: argument {option}: must be >= 1, got {value}\n")
+        assert not out.exists()
 
 
 class TestBehaviorCommand:
+    @pytest.mark.parametrize("ngram", ["2", "3"])
+    def test_repetition_rate_equals_per_dialog_repetition_ratio(self, tmp_path, ngram):
+        # analyze and behavior score a dialog's repetition with the same definition
+        out = tmp_path / "out"
+        assert main(["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS,
+                     "--ngram", ngram, "--out-dir", str(out)]) == EXIT_OK
+        assert main(["behavior", FIXTURE_CORPUS, "--ngram", ngram,
+                     "--out-dir", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        ratios = {d["dialog_id"]: d["repetition_ratio"]
+                  for d in report["corpora"][0]["per_dialog"]}
+        rates = {r["dialog_id"]: float(r["repetition_rate"])
+                 for r in read_csv(out / "behavior.csv")}
+        assert rates == ratios
+        assert len(rates) == 12 and any(rate > 0 for rate in rates.values())
+
     def test_behavior_csv(self, tmp_path):
         out = tmp_path / "out"
         code = main(["behavior", FIXTURE_CORPUS, "--out-dir", str(out)])
@@ -613,7 +653,16 @@ class TestThreads:
         ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS, "--threads", "0"],
         ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS, "--embed-batch", "0"],
         ["behavior", FIXTURE_CORPUS, "--threads", "-3"],
-    ], ids=["analyze-threads", "analyze-embed-batch", "behavior-threads"])
+        *(["generate", "--endpoint-a", ENDPOINT, "--endpoint-b", ENDPOINT, "--model-a", "mA",
+           "--model-b", "mB", "--condition", "neutral", option, value]
+          for option, value in (("--dialogs", "0"), ("--turns", "0"), ("--max-tokens", "0"),
+                                ("--max-tokens", "-5"))),
+        ["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS, "--ngram", "0"],
+        ["behavior", FIXTURE_CORPUS, "--ngram", "0"],
+        ["fit", FIXTURE_CORPUS, "--stride", "0"],
+    ], ids=["analyze-threads", "analyze-embed-batch", "behavior-threads", "generate-dialogs",
+            "generate-turns", "generate-max-tokens", "generate-max-tokens-negative",
+            "analyze-ngram", "behavior-ngram", "fit-stride"])
     def test_count_below_one_is_usage_error_where_no_request_is_sent(
             self, tmp_path, capsys, monkeypatch, mock_service, argv):
         # these runs send no request, yet the count is still checked first;
@@ -621,14 +670,16 @@ class TestThreads:
         service = mock_service(echo_embed_handler())
         monkeypatch.setenv("CORE_EMBED_ENDPOINT", service.url)
         out = tmp_path / "out"
-        assert main(argv + ["--out-dir", str(out)]) == EXIT_VALIDATION
+        argv = [service.url if arg == ENDPOINT else arg for arg in argv]
         command, option, value = argv[0], argv[-2], argv[-1]
+        output = ["--out", str(out)] if command == "generate" else ["--out-dir", str(out)]
+        assert main(argv + output) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"usage: coreval {command} ")
         assert err.endswith(
             f"\ncoreval {command}: error: argument {option}: must be >= 1, got {value}\n")
         assert service.calls == []
-        assert not out.exists()
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option", ["--threads", "--embed-batch"])
     def test_non_integer_count_keeps_argparse_wording(self, tmp_path, capsys, option):

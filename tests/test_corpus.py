@@ -124,25 +124,25 @@ class TestParseCorpus:
 class TestExtractNgrams:
     def test_enumerated_bigrams(self):
         corpus = make_corpus([("d1", "neutral", ["a b", "a b"])])
-        table = extract_ngrams(corpus, 2)
-        assert table.counts == {("a", "b"): 2, ("b", "a"): 1}
-        assert table.total_occurrences == 3
+        ngrams = extract_ngrams(corpus, 2)
+        assert ngrams == {("a", "b"): 2, ("b", "a"): 1}
+        assert sum(ngrams.values()) == 3
 
     def test_n_larger_than_dialogs(self):
         corpus = make_corpus([("d1", "neutral", ["a b", "c"])])
-        table = extract_ngrams(corpus, 10)
-        assert table.counts == {}
-        assert table.total_occurrences == 0
+        ngrams = extract_ngrams(corpus, 10)
+        assert ngrams == {}
+        assert sum(ngrams.values()) == 0
 
     def test_no_windows_across_dialogs(self):
         corpus = make_corpus([("d1", "neutral", ["a", "b"]), ("d2", "neutral", ["c", "d"])])
-        table = extract_ngrams(corpus, 2)
-        assert ("b", "c") not in table.counts
+        ngrams = extract_ngrams(corpus, 2)
+        assert ("b", "c") not in ngrams
 
     def test_windows_cross_utterances_within_dialog(self):
         corpus = make_corpus([("d1", "neutral", ["a b", "c d"])])
-        table = extract_ngrams(corpus, 2)
-        assert table.counts[("b", "c")] == 1
+        ngrams = extract_ngrams(corpus, 2)
+        assert ngrams[("b", "c")] == 1
 
     def test_matches_naive_counter_oracle(self):
         rng = np.random.default_rng(5)
@@ -152,7 +152,7 @@ class TestExtractNgrams:
                      for _ in range(int(rng.integers(2, 5)))]
             spec.append((f"d{d}", "neutral", texts))
         corpus = make_corpus(spec)
-        table = extract_ngrams(corpus, 3)
+        ngrams = extract_ngrams(corpus, 3)
 
         oracle: Counter = Counter()
         for dialog in corpus.dialogs:
@@ -161,8 +161,8 @@ class TestExtractNgrams:
                 window = tokens[i : i + 3]
                 if len(window) == 3:
                     oracle[tuple(window)] += 1
-        assert table.counts == dict(oracle)
-        assert table.total_occurrences == sum(oracle.values())
+        assert ngrams == dict(oracle)
+        assert sum(ngrams.values()) == sum(oracle.values())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_slicing_oracle_every_order(self, n):
@@ -179,9 +179,9 @@ class TestExtractNgrams:
                 tokens = dialog.tokens()
                 for i in range(len(tokens) - n + 1):
                     oracle[tuple(tokens[i : i + n])] += 1
-            table = extract_ngrams(corpus, n)
-            assert table.counts == dict(oracle)
-            assert table.total_occurrences == sum(oracle.values())
+            ngrams = extract_ngrams(corpus, n)
+            assert ngrams == dict(oracle)
+            assert sum(ngrams.values()) == sum(oracle.values())
 
     def test_total_occurrences_identity(self):
         rng = np.random.default_rng(6)
@@ -191,9 +191,9 @@ class TestExtractNgrams:
                       for _ in range(int(rng.integers(2, 4)))])
                     for d in range(4)]
             corpus = make_corpus(spec)
-            table = extract_ngrams(corpus, n)
+            ngrams = extract_ngrams(corpus, n)
             expected = sum(max(0, len(d.tokens()) - n + 1) for d in corpus.dialogs)
-            assert table.total_occurrences == expected
+            assert sum(ngrams.values()) == expected
 
     def test_invalid_n(self):
         corpus = make_corpus([("d1", "neutral", ["a", "b"])])

@@ -181,7 +181,8 @@ class TestFetchEmbeddings:
             return 200, {"data": data}
 
         service = mock_service(inconsistent)
-        with pytest.raises(EmbeddingError, match="dimension"):
+        # a reply's bad vector is the service's fault: EndpointError, naming the key
+        with pytest.raises(EndpointError, match=r"\('d1', 2\): dimension 4 != expected 3"):
             fetch_embeddings(service.url, corpus, batch_size=2, max_inflight=1)
 
     @pytest.mark.parametrize("index", [lambda i: i + 0.9, bool, str],

@@ -3,8 +3,9 @@
 Each case is one malformed dialog JSONL, embedding JSONL, condition-sample
 CSV, per-dialog CSV or endpoint reply, fed to every subcommand that reads it.
 Each run must return 1 (validation) or 3 (external service) and say why,
-never raise.  The file mutations are drawn from a fixed seed, so a failing
-case id reproduces; every mutation makes its input invalid.
+never raise; a bad embedding reply must return 3.  The file mutations are
+drawn from a fixed seed, so a failing case id reproduces; every mutation
+makes its input invalid.
 """
 
 import json
@@ -180,9 +181,9 @@ PER_DIALOG_CASES = _params(_csv_cases(
     {"dialog_id": ["", "abc", "a__", "a__x", "a__1.5"]}))
 
 
-def assert_rejected(code, capsys):
+def assert_rejected(code, capsys, codes=(EXIT_VALIDATION, EXIT_SERVICE)):
     out, err = capsys.readouterr()
-    assert code in (EXIT_VALIDATION, EXIT_SERVICE), (code, out, err)
+    assert code in codes, (code, out, err)
     assert err.startswith(("coreval: error: ", "coreval: external service failure: ")), err
     assert "Traceback" not in err
 
@@ -250,6 +251,16 @@ EMBED_REPLIES = {
                                                 for i in range(n)]}),
     "embedding_nested": lambda n: (200, {"data": [{"index": i, "embedding": [[1.0], [2.0]]}
                                                   for i in range(n)]}),
+    "embedding_zero": lambda n: (200, {"data": [{"index": i, "embedding": [0.0, 0.0]}
+                                                for i in range(n)]}),
+    "embedding_nan": lambda n: (200, {"data": [{"index": i, "embedding": [1.0, float("nan")]}
+                                               for i in range(n)]}),
+    "embedding_empty": lambda n: (200, {"data": [{"index": i, "embedding": []}
+                                                 for i in range(n)]}),
+    "embedding_2d": lambda n: (200, {"data": [{"index": i, "embedding": [[1.0, 2.0]]}
+                                              for i in range(n)]}),
+    "embedding_dimension": lambda n: (200, {"data": [{"index": i, "embedding": [1.0] * (2 + i)}
+                                                     for i in range(n)]}),
 }
 TOXICITY_REPLIES = {
     "scores_string": lambda n: (200, {"scores": "x"}),
@@ -293,10 +304,11 @@ def _replies(specific):
 
 @pytest.mark.parametrize("fn", _replies(EMBED_REPLIES))
 def test_bad_embedding_reply(tmp_path, capsys, endpoint, fn):
+    # every reply here, a bad vector included, is the service's fault: exit 3
     service, reply = endpoint
     reply["fn"] = fn
     assert_rejected(main(["analyze", CORPUS, "--embed-endpoint", service.url,
-                          "--out-dir", str(tmp_path / "out")]), capsys)
+                          "--out-dir", str(tmp_path / "out")]), capsys, codes=(EXIT_SERVICE,))
 
 
 @pytest.mark.parametrize("fn", _replies(TOXICITY_REPLIES))

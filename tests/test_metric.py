@@ -1,11 +1,12 @@
 """Score composition tests: factor arithmetic, bounds, degenerate cases."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from coreval.corpus import NgramTable, parse_corpus
+from coreval.corpus import parse_corpus
 from coreval.embeddings import load_embeddings
 from coreval.metric import (
     FLAG_DEGENERATE_MODES, FLAG_FIT_FALLBACK, FLAG_NO_STAGNATION_PAIRS,
@@ -16,34 +17,28 @@ from coreval.modes import ModeAssignment, cluster_modes
 from conftest import DATA_DIR, make_corpus, matrix_for, random_corpus_and_embeddings
 
 
-def table(counts: dict) -> NgramTable:
-    return NgramTable(n=len(next(iter(counts))), counts=counts,
-                      total_occurrences=sum(counts.values()))
-
-
 class TestRepeatedFraction:
     def test_formula(self):
-        t = table({("a", "b"): 2, ("b", "a"): 1})
+        t = Counter({("a", "b"): 2, ("b", "a"): 1})
         assert repeated_fraction(t) == pytest.approx(2 / 3)
 
     def test_all_distinct(self):
-        t = table({("a", "b"): 1, ("b", "c"): 1})
+        t = Counter({("a", "b"): 1, ("b", "c"): 1})
         assert repeated_fraction(t) == 0.0
         assert repetition_penalty(0.0, 2.5) == 1.0
 
     def test_single_type_repeated(self):
-        t = table({("a", "a"): 5})
+        t = Counter({("a", "a"): 5})
         assert repeated_fraction(t) == 1.0
         assert repetition_penalty(1.0, 2.0) == 0.0
 
     def test_types_variant(self):
-        t = table({("a", "b"): 3, ("b", "a"): 1})
+        t = Counter({("a", "b"): 3, ("b", "a"): 1})
         assert repeated_fraction(t, "types") == 0.5
 
     def test_empty_table_raises(self):
-        t = NgramTable(n=2, counts={}, total_occurrences=0)
         with pytest.raises(ValueError):
-            repeated_fraction(t)
+            repeated_fraction(Counter())
 
 
 class TestFactorArithmetic:

@@ -234,3 +234,7 @@ class TestGenerateDialogs:
         with pytest.raises(ValueError):
             GenerationConfig(endpoint_a="x", endpoint_b="x", model_a="m", model_b="m",
                              condition="neutral", top_p=0.0)
+        for field in ("dialogs", "turns", "max_tokens"):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                GenerationConfig(endpoint_a="x", endpoint_b="x", model_a="m", model_b="m",
+                                 condition="neutral", **{field: 0})
