@@ -134,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created here: each command calls this after its
+    last step that can fail on its inputs, so a failed run leaves none."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -199,7 +201,6 @@ def _matrices_for(args, corpora):
 
 def cmd_analyze(args) -> int:
     config = _analyze_config(args)  # validates kmax/ngram/seeds before any work
-    out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
     for path, corpus in zip(args.inputs, corpora):
         if not corpus.dialogs:
@@ -209,6 +210,7 @@ def cmd_analyze(args) -> int:
     analyses = [analyze_corpus(path, corpus, matrix, config)
                 for path, corpus, matrix in zip(args.inputs, corpora, matrices)]
 
+    out = _out_dir(args)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(analysis_report_json(analyses, config), fh, indent=2)
         fh.write("\n")
@@ -228,19 +230,20 @@ def cmd_fit(args) -> int:
         if name in dumps:
             raise ValueError(f"{dumps[name]} and {path} would both be dumped to {name}")
         dumps[name] = path
-    out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
-    rows = []
+    rows, entries = [], []
     for path, corpus in zip(args.inputs, corpora):
         stats = rank_frequency(corpus)
         zipf = fit_zipf(stats, min_count=args.min_count, max_rank=args.max_rank)
         heaps = fit_heaps(vocab_growth(corpus, args.stride))
         rows.append([path, fmt6(zipf.exponent), fmt6(zipf.r_squared), fmt6(heaps.exponent),
                      fmt6(heaps.r_squared), str(len(stats.entries)), str(stats.total_tokens)])
-        if args.dump_rank_frequency:
-            write_csv(out / f"rankfreq_{Path(path).stem}.csv", "rank,count",
-                      ((str(rank), str(count))
-                       for rank, (_, count) in enumerate(stats.entries, start=1)))
+        entries.append(stats.entries)
+    out = _out_dir(args)
+    # with --dump-rank-frequency, dumps names every input in order; else it is empty
+    for name, ranked in zip(dumps, entries):
+        write_csv(out / name, "rank,count",
+                  ((str(rank), str(count)) for rank, (_, count) in enumerate(ranked, start=1)))
     write_csv(out / "fit.csv", "corpus,alpha,alpha_r2,beta,beta_r2,unique_tokens,total_tokens",
               rows)
     print(f"fit {len(rows)} corpora -> {out}/fit.csv")
@@ -248,7 +251,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_behavior(args) -> int:
-    out = _out_dir(args)
     corpora = _load_corpora(args.inputs)
     lexicons = default_cue_lexicons()
     for name, path in (("agreement", args.agreement_lexicon),
@@ -269,6 +271,7 @@ def cmd_behavior(args) -> int:
              fmt6(p.sentiment), fmt6(p.repetition_rate), fmt6(p.agreement_rate),
              fmt6(p.disagreement_rate), fmt6(p.hedging_rate)]
             for dialog, p in zip(dialogs, profiles)]
+    out = _out_dir(args)
     write_csv(out / "behavior.csv", "dialog_id,condition,toxicity,sentiment,repetition_rate,"
               "agreement_rate,disagreement_rate,hedging_rate", rows)
     print(f"profiled {len(rows)} dialogs -> {out}/behavior.csv")
@@ -276,16 +279,16 @@ def cmd_behavior(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
     rows = compare_rows(read_condition_samples(args.inputs))
+    out = _out_dir(args)
     write_csv(out / "compare.csv", COMPARE_HEADER, rows)
     print(f"wrote {len(rows)} comparisons -> {out}/compare.csv")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     rows = temporal_rows(args.inputs)
+    out = _out_dir(args)
     write_csv(out / "temporal.csv", TEMPORAL_HEADER, rows)
     print(f"wrote {len(rows)} temporal rows -> {out}/temporal.csv")
     return EXIT_OK

@@ -4,15 +4,18 @@ Utterance embeddings are grouped with k-means (k-means++ initialization,
 Lloyd iterations) and the number of modes is chosen by mean silhouette
 score over K = 2..k_max.  The module needs numpy alone.
 
-Squared distances are taken in Gram form |p|^2 + |c|^2 - 2 p.c, one BLAS
-product of rows centered on their mean; it differs from the direct
+Squared distances are taken in Gram form |p|^2 + |c|^2 - 2 p.c, BLAS
+products of rows centered on their mean; they differ from the direct
 difference form by a few 1e-15 of the largest squared distance (the tests
-bound it at 1e-13).  One n x n squared distance matrix is built per
-clustering call.  Every K's k-means++ seeds are drawn from its rows, since
-every seed is a data point; the matrix then becomes the Euclidean one in
-place, which every K's silhouette reads from one n x K product with the
-one-hot labels.  So memory is O(n^2): one n x n float64 array, 6.5 MB at
-900 utterances.
+bound it at 1e-13).  No n x n matrix is built.  Every k-means++ seed is a
+data point, so seeding computes each chosen seed's row of squared distances
+when it draws the next one.  The silhouettes of every K are scored after
+every K's Lloyd run, in one pass over blocks of ``_BLOCK_ROWS`` rows: each
+block's Euclidean distances to every row are multiplied by one n x sum(K)
+matrix of every K's one-hot labels, which gives every point's distance sum
+to every cluster of every K.  So memory is O(n * (d + sum(K)) + B * n) for
+B = ``_BLOCK_ROWS``: at n = 900 a block is 0.9 MB, where an n x n matrix
+would be 6.5 MB.
 
 Every K's Lloyd run reads one frame built once per call: the rows, their
 column mean, the centered rows and their squared norms, the near-tie
@@ -45,6 +48,9 @@ import numpy as np
 from .embeddings import EmbeddingMatrix
 
 _MAX_LLOYD_ITERS = 300
+# rows of one block of distances in the silhouette pass: a block is
+# _BLOCK_ROWS x n float64, so 128 rows of 9,000 points are 9.2 MB
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -84,35 +90,9 @@ def cdist(points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray) -> np.n
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_pp_init(points: np.ndarray, sq_dist: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: each next center drawn with probability proportional
-    to squared distance from the nearest chosen center.
-
-    The centers are data points, so a center's squared distances to every
-    point are its row of ``sq_dist``, the n x n squared distance matrix.
-    Each draw is ``Generator.choice(n, p=d2 / total)``'s own algorithm (one
-    uniform draw searched in the normalized cumulative sum), without its
-    per-call validation of ``p``: the index and the generator state are the
-    same.
-    """
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = sq_dist[chosen[0]].copy()
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:  # all remaining points coincide with chosen centers
-            idx = int(rng.integers(n))
-        else:
-            cdf = np.cumsum(d2 / total)
-            idx = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
-        chosen.append(idx)
-        np.minimum(d2, sq_dist[idx], out=d2)
-    return points[chosen]
-
-
 class _Frame(NamedTuple):
-    """What every K's Lloyd run reads from the same rows, built once per call."""
+    """What every K's seeding, Lloyd run and silhouette read from the same
+    rows, built once per call."""
     points: np.ndarray
     mean: np.ndarray
     centered: np.ndarray  # points - mean
@@ -136,6 +116,67 @@ def _frame(points: np.ndarray) -> _Frame:
     # one buffer for every K and iteration: a fresh n x d array each time
     # costs its page faults each time
     return _Frame(points, mean, centered, sq_norms, tol, np.arange(n), np.empty((n, dim)))
+
+
+def _sq_dist_row(frame: _Frame, c: int) -> np.ndarray:
+    """Squared Euclidean distances from row c to every row, in Gram form.
+
+    Centering first leaves the distances unchanged and keeps the squared
+    norms small far from the origin, where |p|^2 would swamp |p_i - p_j|^2.
+    Rounding can make an entry slightly negative, so entries are clamped at
+    0, and the row's distance to itself is set to exactly 0.  It is one
+    matrix-vector product, since seeding computes rows one at a time: a
+    1-row ``_sq_dists`` block takes about 1.5 times as long at n = 30.
+    """
+    centered, sq_norms = frame.centered, frame.sq_norms
+    row = centered @ centered[c]
+    row *= -2.0
+    row += sq_norms[c]
+    row += sq_norms
+    np.maximum(row, 0.0, out=row)
+    row[c] = 0.0
+    return row
+
+
+def _sq_dists(frame: _Frame, lo: int, hi: int) -> np.ndarray:
+    """Squared Euclidean distances from rows lo..hi-1 to every row: the
+    block form of ``_sq_dist_row``, one matrix product."""
+    centered, sq_norms = frame.centered, frame.sq_norms
+    block = centered[lo:hi] @ centered.T
+    block *= -2.0
+    block += sq_norms[lo:hi, None]
+    block += sq_norms
+    np.maximum(block, 0.0, out=block)
+    # the self entries (i, lo + i) are every (n + 1)-th entry of the flat
+    # block, from entry lo on
+    block.reshape(-1)[lo::len(sq_norms) + 1] = 0.0
+    return block
+
+
+def _kmeans_pp_init(frame: _Frame, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each next center drawn with probability proportional
+    to squared distance from the nearest chosen center.
+
+    The centers are data points, so a center's squared distances to every
+    point are its ``_sq_dist_row``, computed when it is chosen.  Each
+    draw is ``Generator.choice(n, p=d2 / total)``'s own algorithm (one
+    uniform draw searched in the normalized cumulative sum), without its
+    per-call validation of ``p``: the index and the generator state are the
+    same.
+    """
+    n = frame.points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = _sq_dist_row(frame, chosen[0])
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:  # all remaining points coincide with chosen centers
+            idx = int(rng.integers(n))
+        else:
+            cdf = np.cumsum(d2 / total)
+            idx = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+        chosen.append(idx)
+        np.minimum(d2, _sq_dist_row(frame, idx), out=d2)
+    return frame.points[chosen]
 
 
 def _cluster_means(frame: _Frame, labels: np.ndarray, sizes: np.ndarray,
@@ -207,38 +248,16 @@ def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return labels, centers, float(nearest.sum())
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance matrix of the rows, in Gram form.
+def _mean_silhouette(sums: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Mean silhouette from every point's distance sum to each of the k
+    clusters (an n x k array); singleton clusters contribute 0.
 
-    Centering first leaves the distances unchanged and keeps the squared
-    norms small far from the origin, where |p|^2 would swamp |p_i - p_j|^2.
-    The squared distances are built in place in the Gram matrix, so one
-    n x n array is alive.  The squared norms are read off its diagonal, which
-    makes the diagonal exactly 0 ((-2g + g) + g is exact); rounding can make
-    an off-diagonal entry slightly negative, so entries are clamped at 0.
-    """
-    centered = points - points.mean(axis=0)
-    sq_dist = centered @ centered.T
-    sq_norms = sq_dist.diagonal().copy()
-    sq_dist *= -2.0
-    sq_dist += sq_norms[:, None]
-    sq_dist += sq_norms
-    return np.maximum(sq_dist, 0.0, out=sq_dist)
-
-
-def _mean_silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Mean silhouette from the pairwise distance matrix; singleton clusters contribute 0.
-
-    One n x K product ``dist @ onehot(labels)`` gives every point's distance
-    sum to every cluster; ``a`` (own cluster, itself excluded) and ``b``
-    (nearest other non-empty cluster) are read off it as whole arrays.
+    ``a`` (own cluster, itself excluded) and ``b`` (nearest other non-empty
+    cluster) are read off the sums as whole arrays.
     """
     n = labels.shape[0]
     rows = np.arange(n)
     sizes = np.bincount(labels, minlength=k)
-    onehot = np.zeros((n, k))
-    onehot[rows, labels] = 1.0
-    sums = dist @ onehot
     own_sizes = sizes[labels]
     a = sums[rows, labels] / np.maximum(own_sizes - 1, 1)
     means = sums / np.maximum(sizes, 1)
@@ -250,6 +269,29 @@ def _mean_silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
     scores = np.zeros(n)
     scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(scores.mean())
+
+
+def _mean_silhouettes(frame: _Frame, labelings: list[tuple[np.ndarray, int]]) -> list[float]:
+    """Mean silhouette of each (labels, k) labeling of the frame's rows.
+
+    One pass over blocks of ``_BLOCK_ROWS`` rows: a block's Euclidean
+    distances times one n x sum(k) matrix of every labeling's one-hot labels
+    give its rows' distance sums to every cluster of every labeling, so no
+    n x n array is alive.
+    """
+    n = frame.points.shape[0]
+    offsets = np.cumsum([0] + [k for _, k in labelings]).tolist()
+    onehots = np.zeros((n, offsets[-1]))
+    for (labels, _), offset in zip(labelings, offsets):
+        onehots[frame.rows, offset + labels] = 1.0
+    sums = np.empty_like(onehots)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        dist = _sq_dists(frame, lo, hi)
+        np.matmul(np.sqrt(dist, out=dist), onehots, out=sums[lo:hi])
+        del dist  # else the next block is built while this one is alive
+    return [_mean_silhouette(sums[:, offset:offset + k], labels, k)
+            for (labels, k), offset in zip(labelings, offsets)]
 
 
 def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 42) -> ModeAssignment:
@@ -272,24 +314,15 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
         return ModeAssignment(k=1, labels=np.zeros(n, dtype=np.int64),
                               centroids=points[:1].copy(), inertia=0.0, seed=seed)
 
-    ks = range(2, min(k_max, n_distinct) + 1)
-    sq_dist = _pairwise_distances(points)
-    # every K's seeds are drawn before the matrix becomes the silhouette's
-    # Euclidean one in place, so one n x n array is alive
-    starts = [_kmeans_pp_init(points, sq_dist, k, np.random.default_rng([seed, k])) for k in ks]
-    dist = np.sqrt(sq_dist, out=sq_dist)
-    # built after the Gram-form temporaries are freed, so its two n x d
-    # arrays are never alive next to them
     frame = _frame(points)
-    best: tuple[float, int, np.ndarray, np.ndarray, float] | None = None
-    for k, centers in zip(ks, starts):
-        labels, centroids, inertia = _lloyd(frame, centers)
-        score = _mean_silhouette(dist, labels, k)
-        if best is None or score > best[0]:
-            best = (score, k, labels, centroids, inertia)
-    assert best is not None
-    _, k, labels, centroids, inertia = best
-    return ModeAssignment(k=k, labels=labels, centroids=centroids, inertia=inertia, seed=seed)
+    ks = range(2, min(k_max, n_distinct) + 1)
+    runs = [_lloyd(frame, _kmeans_pp_init(frame, k, np.random.default_rng([seed, k])))
+            for k in ks]
+    scores = _mean_silhouettes(frame, [(labels, k) for k, (labels, _, _) in zip(ks, runs)])
+    best = max(range(len(ks)), key=scores.__getitem__)  # ties go to the smaller K
+    labels, centroids, inertia = runs[best]
+    return ModeAssignment(k=ks[best], labels=labels, centroids=centroids, inertia=inertia,
+                          seed=seed)
 
 
 def mode_distribution(assignment: ModeAssignment) -> ModeDistribution:

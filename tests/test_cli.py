@@ -107,7 +107,7 @@ class TestAnalyze:
 
     def test_two_inputs_summary_groups_by_condition(self, tmp_path):
         # split the fixture into two files; summary must pool by condition
-        lines = open(FIXTURE_CORPUS).read().strip().splitlines()
+        lines = Path(FIXTURE_CORPUS).read_text().strip().splitlines()
         part1 = tmp_path / "part1.jsonl"
         part2 = tmp_path / "part2.jsonl"
         part1.write_text("\n".join(lines[:6]) + "\n")
@@ -142,7 +142,7 @@ class TestAnalyze:
     def test_condition_without_stagnation_pair_is_skipped(self, tmp_path, caplog):
         # neutral keeps one dialog cut to its first turn: one utterance, which
         # can be neither clustered nor scored for stagnation on its own
-        dialogs = [json.loads(line) for line in open(FIXTURE_CORPUS)]
+        dialogs = [json.loads(line) for line in Path(FIXTURE_CORPUS).read_text().splitlines()]
         neutral = next(d for d in dialogs if d["condition"] == "neutral")
         neutral["turns"] = neutral["turns"][:1]
         kept = [d for d in dialogs if d["condition"] != "neutral"] + [neutral]
@@ -162,7 +162,7 @@ class TestAnalyze:
     def test_corpus_without_stagnation_pair_is_flagged(self, tmp_path):
         # every dialog cut to its first turn: the corpus gets a flagged breakdown
         # and every condition is skipped
-        dialogs = [json.loads(line) for line in open(FIXTURE_CORPUS)]
+        dialogs = [json.loads(line) for line in Path(FIXTURE_CORPUS).read_text().splitlines()]
         for d in dialogs:
             d["turns"] = d["turns"][:1]
         corpus = tmp_path / "corpus.jsonl"
@@ -191,7 +191,7 @@ class TestAnalyze:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == \
             "coreval: error: ('not_in_corpus', 0): non-finite value in vector\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_directory_input_is_validation_error(self, tmp_path, capsys):
         # opening a directory raises IsADirectoryError, an OSError but not a
@@ -222,7 +222,7 @@ class TestAnalyze:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             "coreval: error: out of memory: Unable to allocate 618. MiB for an array\n")
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_negative_cluster_seed_is_validation_error_before_work(self, tmp_path, capsys):
         # the missing embeddings file shows that no input is read first
@@ -279,7 +279,7 @@ class TestFit:
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
             paths.append(tmp_path / name / "x.jsonl")
-            paths[-1].write_text(open(FIXTURE_CORPUS).read())
+            paths[-1].write_text(Path(FIXTURE_CORPUS).read_text())
         out = tmp_path / "out"
         code = main(["fit", *map(str, paths), "--dump-rank-frequency", "--out-dir", str(out)])
         assert code == EXIT_VALIDATION
@@ -724,6 +724,22 @@ class TestOptions:
         assert err.endswith(f"\ncoreval: error: unrecognized arguments: {option} {value}\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["analyze", "fit", "behavior", "compare", "report"])
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys, command):
+        # each command line is valid, and one input fails only once it is read
+        missing = str(tmp_path / "missing")
+        tiny = tmp_path / "tiny.jsonl"  # parses, but too short for a Zipf fit
+        tiny.write_text(dialog_jsonl_line("mA__mB__neutral__0", "neutral", ["hi"]) + "\n")
+        argv = {"analyze": [FIXTURE_CORPUS, "--embeddings", missing],
+                # the fixture is fitted first, so its rank-frequency dump is due
+                "fit": [FIXTURE_CORPUS, str(tiny), "--dump-rank-frequency"],
+                "behavior": [FIXTURE_CORPUS, missing],
+                "compare": [missing], "report": [missing]}[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("coreval: error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]],
                              ids=["coreval", "analyze"])
     def test_help_returns_zero(self, capsys, argv):
@@ -753,9 +769,9 @@ class TestRoundTrips:
         agent = 'l,"ama'
         in_json = json.dumps(agent)[1:-1] + "__"
         corpus = tmp_path / 'c,1"x.jsonl'
-        corpus.write_text(open(FIXTURE_CORPUS).read().replace("llama__", in_json))
+        corpus.write_text(Path(FIXTURE_CORPUS).read_text().replace("llama__", in_json))
         embeddings = tmp_path / "embeddings.jsonl"
-        embeddings.write_text(open(FIXTURE_EMBEDDINGS).read().replace("llama__", in_json))
+        embeddings.write_text(Path(FIXTURE_EMBEDDINGS).read_text().replace("llama__", in_json))
         out = tmp_path / "out"
         assert main(["analyze", str(corpus), "--embeddings", str(embeddings),
                      "--out-dir", str(out)]) == EXIT_OK

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def loop_silhouette(dist, labels, k) -> float:
 
 def direct_kmeans_pp_init(points, k, rng):
     """k-means++ seeding with squared distances from the direct difference
-    form: the reference for seeding from the Gram-form matrix."""
+    form: the reference for seeding from Gram-form rows."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
@@ -162,6 +163,26 @@ def final_assign_lloyd(points, centers):
             break
     labels, nearest = assign(centers)
     return labels, centers, float(nearest.sum())
+
+
+def row_sq_dists(frame):
+    """The n x n squared distance matrix assembled from ``modes._sq_dist_row``,
+    as seeding computes each of its rows."""
+    return np.stack([modes._sq_dist_row(frame, i) for i in range(len(frame.points))])
+
+
+def block_sq_dists(frame):
+    """The n x n squared distance matrix assembled from the blocks of
+    ``modes._BLOCK_ROWS`` rows that the silhouette pass computes."""
+    n, step = len(frame.points), modes._BLOCK_ROWS
+    return np.vstack([modes._sq_dists(frame, lo, min(lo + step, n)) for lo in range(0, n, step)])
+
+
+def loop_silhouettes(frame, labelings):
+    """``loop_silhouette`` of each labeling on the assembled block matrix:
+    the reference for scoring every K in one blocked pass."""
+    dist = np.sqrt(block_sq_dists(frame))
+    return [loop_silhouette(dist, labels, k) for labels, k in labelings]
 
 
 def choice_kmeans_pp_init(points, sq_dist, k, rng):
@@ -375,7 +396,8 @@ class TestClusterModes:
         # as in np.unique, -0.0 equals 0.0: these rows are all one point
         calls = []
         monkeypatch.setattr(modes, "cdist", lambda *args: calls.append(args))
-        monkeypatch.setattr(modes, "_pairwise_distances", lambda p: calls.append(p))
+        monkeypatch.setattr(modes, "_sq_dist_row", lambda *args: calls.append(args))
+        monkeypatch.setattr(modes, "_sq_dists", lambda *args: calls.append(args))
         same = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
         assignment = cluster_modes(same, k_max=5, seed=42)
         assert assignment.k == 1
@@ -397,6 +419,12 @@ class TestClusterModes:
         b = cluster_modes(shifted, k_max=6, seed=42)
         assert a.k == b.k
         assert np.array_equal(a.labels, b.labels)
+
+    def test_silhouette_ties_go_to_the_smaller_k(self, monkeypatch):
+        monkeypatch.setattr(modes, "_mean_silhouettes",
+                            lambda frame, labelings: [0.25, 0.5, 0.5, 0.5][:len(labelings)])
+        points = np.random.default_rng(23).normal(size=(40, 3))
+        assert cluster_modes(points, k_max=5, seed=42).k == 3
 
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
@@ -499,8 +527,11 @@ class TestClusterQuality:
 class TestSilhouette:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
-        for trial in range(60):
-            n = int(rng.integers(3, 301))
+        block = modes._BLOCK_ROWS
+        # random sizes, then sizes at the edges of the silhouette pass's blocks
+        sizes = [int(rng.integers(3, 301)) for _ in range(60)]
+        sizes += [block - 1, block, block + 1, 2 * block + 1]
+        for trial, n in enumerate(sizes):
             k = int(rng.integers(2, min(n, 10) + 1))
             if trial % 3 == 0:  # repeated rows make zero distances and zero denominators
                 pool = rng.normal(size=(int(rng.integers(1, 6)), 3))
@@ -512,45 +543,79 @@ class TestSilhouette:
             labels = rng.choice(k - 1, size=n, p=weights)
             labels[int(rng.integers(n))] = k - 1
             k_arg = k + int(rng.integers(0, 2))  # sometimes a trailing empty cluster id
-            dist = cdist(points, points)
-            fast = modes._mean_silhouette(dist, labels, k_arg)
-            assert abs(fast - loop_silhouette(dist, labels, k_arg)) <= 1e-12, (trial, n, k)
+            # a second labeling of the same rows, scored in the same pass
+            other = rng.integers(0, 3, n)
+            other[:3] = np.arange(3)
+            frame = modes._frame(points)
+            labelings = [(labels, k_arg), (other, 3)]
+            fast = modes._mean_silhouettes(frame, labelings)
+            assert len(fast) == 2
+            for got, want in zip(fast, loop_silhouettes(frame, labelings)):
+                assert abs(got - want) <= 1e-12, (trial, n, k)
 
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_selection_matches_loop_oracle(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_mean_silhouette", loop_silhouette)
+        monkeypatch.setattr(modes, "_mean_silhouettes", loop_silhouettes)
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
 
-    def test_one_pairwise_matrix_per_call(self, monkeypatch):
-        pairwise, shapes = [], []
-        real_pairwise, real_cdist = modes._pairwise_distances, modes.cdist
+    def test_distance_blocks_are_bounded(self, monkeypatch):
+        rows, blocks, shapes = [], [], []
+        real_row, real_sq_dists, real_cdist = modes._sq_dist_row, modes._sq_dists, modes.cdist
 
-        def counting_pairwise(points):
-            pairwise.append(len(points))
-            return real_pairwise(points)
+        def counting_row(frame, c):
+            rows.append(c)
+            return real_row(frame, c)
+
+        def counting_sq_dists(frame, lo, hi):
+            blocks.append(hi - lo)
+            return real_sq_dists(frame, lo, hi)
 
         def counting_cdist(xa, xb, *args, **kwargs):
             shapes.append((len(xa), len(xb)))
             return real_cdist(xa, xb, *args, **kwargs)
 
-        monkeypatch.setattr(modes, "_pairwise_distances", counting_pairwise)
+        monkeypatch.setattr(modes, "_sq_dist_row", counting_row)
+        monkeypatch.setattr(modes, "_sq_dists", counting_sq_dists)
         monkeypatch.setattr(modes, "cdist", counting_cdist)
         for _, points, k_max in blob_sets():
             n = len(points)
-            pairwise.clear()
+            rows.clear()
+            blocks.clear()
             shapes.clear()
             cluster_modes(points, k_max=k_max, seed=42)
-            assert pairwise == [n]
+            # one row per seed of every K, then every row once in blocks
+            ks = range(2, min(k_max, len(np.unique(points + 0.0, axis=0))) + 1)
+            assert len(rows) == sum(ks)
+            assert blocks == [min(modes._BLOCK_ROWS, n - lo) for lo in range(0, n, modes._BLOCK_ROWS)]
             # what is left on cdist is Lloyd's points-to-centroids distances
-            assert shapes and all(rows == n and k <= k_max for rows, k in shapes)
-        pairwise.clear()
+            assert shapes and all(m == n and k <= k_max for m, k in shapes)
+        rows.clear()
+        blocks.clear()
         shapes.clear()
         assignment = cluster_modes(np.tile([1.0, 2.0], (12, 1)), k_max=5, seed=42)
         assert assignment.k == 1
-        assert pairwise == [] and shapes == []
+        assert rows == [] and blocks == [] and shapes == []
+
+
+class TestMemory:
+    def test_peak_below_an_eighth_of_the_matrix(self):
+        # numpy reports its allocations to tracemalloc; an n x n float64
+        # distance matrix would take 8 n^2 bytes (122 MiB here)
+        rng = np.random.default_rng(22)
+        n = 4000
+        points, _ = gaussian_blobs(rng, rng.normal(size=(6, 8)) * 10, n // 6 + 1, sigma=0.3)
+        points = points[:n]
+        tracemalloc.start()
+        try:
+            assignment = cluster_modes(points, k_max=10, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert assignment.k == 6
+        assert peak < n * n, peak  # an eighth of 8 n^2 bytes
 
 
 class TestPairwiseDistances:
@@ -566,17 +631,23 @@ class TestPairwiseDistances:
             else:
                 points = rng.normal(size=(n, dim)) * rng.random() * 10
             points = points + (0.0, 1e3, 1e7)[trial // 3 % 3]
-            sq_dist = modes._pairwise_distances(points)
+            frame = modes._frame(points)
             exact = cdist(points, points, "sqeuclidean")
             scale = exact.max()
-            assert np.abs(sq_dist - sq_dist.T).max() <= 1e-13 * scale, (trial, n, dim)
-            assert (np.diagonal(sq_dist) == 0.0).all()
-            assert np.abs(sq_dist - exact).max() <= 1e-13 * scale, (trial, n, dim)
+            # as seeding reads them (one row per call) and as the silhouette
+            # pass reads them (blocks of _BLOCK_ROWS rows)
+            for sq_dist in (row_sq_dists(frame), block_sq_dists(frame)):
+                assert np.abs(sq_dist - sq_dist.T).max() <= 1e-13 * scale, (trial, n, dim)
+                assert (np.diagonal(sq_dist) == 0.0).all()
+                assert np.abs(sq_dist - exact).max() <= 1e-13 * scale, (trial, n, dim)
 
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_selection_matches_cdist(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_pairwise_distances", lambda p: cdist(p, p, "sqeuclidean"))
+        monkeypatch.setattr(modes, "_sq_dist_row", lambda frame, c: cdist(
+            frame.points[c:c + 1], frame.points, "sqeuclidean")[0])
+        monkeypatch.setattr(modes, "_sq_dists", lambda frame, lo, hi: cdist(
+            frame.points[lo:hi], frame.points, "sqeuclidean"))
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
@@ -704,14 +775,14 @@ class TestSeeding:
     def test_matches_direct_form_oracle(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
         monkeypatch.setattr(modes, "_kmeans_pp_init",
-                            lambda points, sq_dist, k, rng: direct_kmeans_pp_init(points, k, rng))
+                            lambda frame, k, rng: direct_kmeans_pp_init(frame.points, k, rng))
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
 
 
     @pytest.mark.parametrize("kind", ["all_zero", "uniform", "zeros", "one_nonzero", "wide_range"])
-    def test_draw_matches_choice(self, kind):
+    def test_draw_matches_choice(self, monkeypatch, kind):
         # every row of the matrix is the same weight vector, so every draw
         # after the first is weighted by it; the seeds are the row indices
         rng = np.random.default_rng(19)
@@ -719,19 +790,22 @@ class TestSeeding:
             w = draw_weights(kind, n, rng)
             sq_dist = np.broadcast_to(w, (n, n))
             points = np.arange(n, dtype=np.float64)[:, None]
+            frame = modes._frame(points)
+            monkeypatch.setattr(modes, "_sq_dist_row", lambda frame, c: sq_dist[c].copy())
             for seed in range(4):
                 got_rng, want_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-                got = modes._kmeans_pp_init(points, sq_dist, 8, got_rng)
+                got = modes._kmeans_pp_init(frame, 8, got_rng)
                 want = choice_kmeans_pp_init(points, sq_dist, 8, want_rng)
                 assert got.tobytes() == want.tobytes(), (kind, n, seed)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state, (kind, n, seed)
 
     def test_gram_matrix_draws_match_choice(self):
         for name, points, k_max in blob_sets():
-            sq_dist = modes._pairwise_distances(points)
+            frame = modes._frame(points)
+            sq_dist = row_sq_dists(frame)
             for k in range(2, k_max + 1):
                 got_rng, want_rng = np.random.default_rng([42, k]), np.random.default_rng([42, k])
-                got = modes._kmeans_pp_init(points, sq_dist, k, got_rng)
+                got = modes._kmeans_pp_init(frame, k, got_rng)
                 want = choice_kmeans_pp_init(points, sq_dist, k, want_rng)
                 assert got.tobytes() == want.tobytes(), (name, k)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state, (name, k)
@@ -762,10 +836,13 @@ class TestSharedFrame:
     @staticmethod
     def per_call_reference(monkeypatch, points, k_max, seed):
         with monkeypatch.context() as patch:
-            patch.setattr(modes, "_kmeans_pp_init", choice_kmeans_pp_init)
+            patch.setattr(modes, "_kmeans_pp_init", lambda frame, k, rng: choice_kmeans_pp_init(
+                frame.points, row_sq_dists(frame), k, rng))
             patch.setattr(modes, "_lloyd",
                           lambda frame, centers: masked_mean_lloyd(frame.points, centers))
-            patch.setattr(modes, "_mean_silhouette", matvec_silhouette)
+            patch.setattr(modes, "_mean_silhouettes", lambda frame, labelings: [
+                matvec_silhouette(np.sqrt(block_sq_dists(frame)), labels, k)
+                for labels, k in labelings])
             return cluster_modes(points, k_max=k_max, seed=seed)
 
     @staticmethod

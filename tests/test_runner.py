@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -129,7 +130,7 @@ class TestGenerateDialogs:
         assert len(lines) == 1
         assert json.loads(lines[0])["id"].endswith("__0")
         log = (str(out) + ".log")
-        assert "failed" in open(log).read()
+        assert "failed" in Path(log).read_text()
 
     def test_resume_skips_complete_lines(self, mock_service, tmp_path):
         service = mock_service(echo_chat_handler)
@@ -174,7 +175,7 @@ class TestGenerateDialogs:
         assert [t["text"] for t in obj["turns"]] == ["...", "..."]
         # one retry per empty turn: 2 turns x 2 requests
         assert len(service.calls) == 4
-        assert "empty response" in open(str(out) + ".log").read()
+        assert "empty response" in Path(str(out) + ".log").read_text()
 
     def test_alternating_endpoints(self, mock_service, tmp_path):
         a = mock_service(echo_chat_handler)
