@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -46,6 +47,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type for values sent in a JSON request, which has no nan
+    or infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coreval", description="Conversational robustness scoring and language-law "
@@ -69,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True, choices=CONDITIONS)
     p.add_argument("--dialogs", type=_positive_int, default=30)
     p.add_argument("--turns", type=_positive_int, default=10)
-    p.add_argument("--temperature", type=float, default=0.7)
-    p.add_argument("--top-p", type=float, default=0.9)
+    p.add_argument("--temperature", type=_finite_float, default=0.7)
+    p.add_argument("--top-p", type=_finite_float, default=0.9)
     p.add_argument("--max-tokens", type=_positive_int, default=128)
     p.add_argument("--request-seed", type=int, default=None)
     p.add_argument("--concat-prompt", action="store_true",

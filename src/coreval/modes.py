@@ -7,15 +7,17 @@ score over K = 2..k_max.  The module needs numpy alone.
 Squared distances are taken in Gram form |p|^2 + |c|^2 - 2 p.c, BLAS
 products of rows centered on their mean; they differ from the direct
 difference form by a few 1e-15 of the largest squared distance (the tests
-bound it at 1e-13).  No n x n matrix is built.  Every k-means++ seed is a
-data point, so seeding computes each chosen seed's row of squared distances
-when it draws the next one.  The silhouettes of every K are scored after
-every K's Lloyd run, in one pass over blocks of ``_BLOCK_ROWS`` rows: each
-block's Euclidean distances to every row are multiplied by one n x sum(K)
-matrix of every K's one-hot labels, which gives every point's distance sum
-to every cluster of every K.  So memory is O(n * (d + sum(K)) + B * n) for
-B = ``_BLOCK_ROWS``: at n = 900 a block is 0.9 MB, where an n x n matrix
-would be 6.5 MB.
+bound it at 1e-13).  No n x n matrix is built: one helper, ``_sq_dists``,
+gives the distances from any rows to every row as one matrix product.
+Every k-means++ seed is a data point, and every K is seeded in lockstep,
+one block per draw step: step j draws the next seed of every K that still
+needs one, then one block of those seeds' rows updates their distances.
+The silhouettes of every K are scored after every K's Lloyd run, in one
+pass over blocks of ``_BLOCK_ROWS`` rows: each block's Euclidean distances
+to every row are multiplied by one n x sum(K) matrix of every K's one-hot
+labels, which gives every point's distance sum to every cluster of every
+K.  So memory is O(n * (d + sum(K)) + B * n) for B = ``_BLOCK_ROWS``: at
+n = 900 a block is 0.9 MB, where an n x n matrix would be 6.5 MB.
 
 Every K's Lloyd run reads one frame built once per call: the rows, their
 column mean, the centered rows and their squared norms, the near-tie
@@ -118,65 +120,56 @@ def _frame(points: np.ndarray) -> _Frame:
     return _Frame(points, mean, centered, sq_norms, tol, np.arange(n), np.empty((n, dim)))
 
 
-def _sq_dist_row(frame: _Frame, c: int) -> np.ndarray:
-    """Squared Euclidean distances from row c to every row, in Gram form.
+def _sq_dists(frame: _Frame, idx: list[int] | np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from rows ``idx`` to every row, in Gram
+    form: one matrix product for any index array.
 
     Centering first leaves the distances unchanged and keeps the squared
     norms small far from the origin, where |p|^2 would swamp |p_i - p_j|^2.
     Rounding can make an entry slightly negative, so entries are clamped at
-    0, and the row's distance to itself is set to exactly 0.  It is one
-    matrix-vector product, since seeding computes rows one at a time: a
-    1-row ``_sq_dists`` block takes about 1.5 times as long at n = 30.
+    0, and each row's distance to itself is set to exactly 0.
     """
     centered, sq_norms = frame.centered, frame.sq_norms
-    row = centered @ centered[c]
-    row *= -2.0
-    row += sq_norms[c]
-    row += sq_norms
-    np.maximum(row, 0.0, out=row)
-    row[c] = 0.0
-    return row
-
-
-def _sq_dists(frame: _Frame, lo: int, hi: int) -> np.ndarray:
-    """Squared Euclidean distances from rows lo..hi-1 to every row: the
-    block form of ``_sq_dist_row``, one matrix product."""
-    centered, sq_norms = frame.centered, frame.sq_norms
-    block = centered[lo:hi] @ centered.T
+    block = centered[idx] @ centered.T
     block *= -2.0
-    block += sq_norms[lo:hi, None]
+    block += sq_norms[idx, None]
     block += sq_norms
     np.maximum(block, 0.0, out=block)
-    # the self entries (i, lo + i) are every (n + 1)-th entry of the flat
-    # block, from entry lo on
-    block.reshape(-1)[lo::len(sq_norms) + 1] = 0.0
+    block[np.arange(len(idx)), idx] = 0.0
     return block
 
 
-def _kmeans_pp_init(frame: _Frame, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: each next center drawn with probability proportional
-    to squared distance from the nearest chosen center.
+def _kmeans_pp_init(frame: _Frame, ks: range, rngs: list[np.random.Generator]) -> list[np.ndarray]:
+    """k-means++ seeding of every K in ``ks``, each from its own generator:
+    each next center drawn with probability proportional to squared distance
+    from the nearest chosen center.
 
-    The centers are data points, so a center's squared distances to every
-    point are its ``_sq_dist_row``, computed when it is chosen.  Each
-    draw is ``Generator.choice(n, p=d2 / total)``'s own algorithm (one
-    uniform draw searched in the normalized cumulative sum), without its
-    per-call validation of ``p``: the index and the generator state are the
-    same.
+    The K's draw in lockstep: step j draws the (j + 1)-th seed of every K
+    with k > j, then one ``_sq_dists`` block of those seeds, which are data
+    points, updates every such K's distances.  ``ks`` is 2, 3, ..., K_max,
+    so those K's are its suffix from index j + 1 - ks[0].  Each draw is
+    ``Generator.choice(n, p=d2 / total)``'s own algorithm (one uniform draw
+    searched in the normalized cumulative sum), without its per-call
+    validation of ``p``: the index and the generator state are the same.
     """
     n = frame.points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = _sq_dist_row(frame, chosen[0])
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:  # all remaining points coincide with chosen centers
-            idx = int(rng.integers(n))
-        else:
-            cdf = np.cumsum(d2 / total)
-            idx = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
-        chosen.append(idx)
-        np.minimum(d2, _sq_dist_row(frame, idx), out=d2)
-    return frame.points[chosen]
+    chosen = [[int(rng.integers(n))] for rng in rngs]
+    d2 = _sq_dists(frame, [seeds[0] for seeds in chosen])
+    for j in range(1, ks[-1]):
+        live = j + 1 - ks[0]
+        rows = d2[live:]  # a view, updated in place
+        step = []
+        for row, rng, seeds in zip(rows, rngs[live:], chosen[live:]):
+            total = row.sum()
+            if total <= 0:  # all remaining points coincide with chosen centers
+                idx = int(rng.integers(n))
+            else:
+                cdf = np.cumsum(row / total)
+                idx = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+            seeds.append(idx)
+            step.append(idx)
+        np.minimum(rows, _sq_dists(frame, step), out=rows)
+    return [frame.points[seeds] for seeds in chosen]
 
 
 def _cluster_means(frame: _Frame, labels: np.ndarray, sizes: np.ndarray,
@@ -287,7 +280,7 @@ def _mean_silhouettes(frame: _Frame, labelings: list[tuple[np.ndarray, int]]) ->
     sums = np.empty_like(onehots)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        dist = _sq_dists(frame, lo, hi)
+        dist = _sq_dists(frame, frame.rows[lo:hi])
         np.matmul(np.sqrt(dist, out=dist), onehots, out=sums[lo:hi])
         del dist  # else the next block is built while this one is alive
     return [_mean_silhouette(sums[:, offset:offset + k], labels, k)
@@ -316,8 +309,8 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
 
     frame = _frame(points)
     ks = range(2, min(k_max, n_distinct) + 1)
-    runs = [_lloyd(frame, _kmeans_pp_init(frame, k, np.random.default_rng([seed, k])))
-            for k in ks]
+    rngs = [np.random.default_rng([seed, k]) for k in ks]
+    runs = [_lloyd(frame, centers) for centers in _kmeans_pp_init(frame, ks, rngs)]
     scores = _mean_silhouettes(frame, [(labels, k) for k, (labels, _, _) in zip(ks, runs)])
     best = max(range(len(ks)), key=scores.__getitem__)  # ties go to the smaller K
     labels, centroids, inertia = runs[best]

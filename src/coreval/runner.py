@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -53,8 +54,8 @@ class GenerationConfig:
             raise ValueError("dialogs, turns and max_tokens must be >= 1")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
 

@@ -619,6 +619,25 @@ class TestGenerate:
     def test_missing_required_flag_exits_one(self):
         assert main(["generate", "--endpoint-a", "http://x"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("option", ["--temperature", "--top-p"])
+    def test_non_finite_sampling_value_is_usage_error(self, tmp_path, capsys, mock_service,
+                                                      option, value):
+        # a JSON request cannot carry it, so argparse rejects it before any
+        # file is opened or request sent
+        service = mock_service(echo_chat_handler)
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", "--endpoint-a", service.url, "--endpoint-b", service.url,
+                     "--model-a", "mA", "--model-b", "mB", "--condition", "neutral",
+                     "--dialogs", "1", "--turns", "1", f"{option}={value}",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: coreval generate ")
+        assert err.endswith(
+            f"\ncoreval generate: error: argument {option}: must be finite, got {value}\n")
+        assert service.calls == []
+        assert not list(tmp_path.iterdir())
+
 
 class TestThreads:
     @pytest.mark.parametrize("threads", ["0", "-5"])

@@ -166,16 +166,16 @@ def final_assign_lloyd(points, centers):
 
 
 def row_sq_dists(frame):
-    """The n x n squared distance matrix assembled from ``modes._sq_dist_row``,
-    as seeding computes each of its rows."""
-    return np.stack([modes._sq_dist_row(frame, i) for i in range(len(frame.points))])
+    """The n x n squared distance matrix assembled from 1-row
+    ``modes._sq_dists`` blocks, as seeding's last draw step computes them."""
+    return np.vstack([modes._sq_dists(frame, [i]) for i in range(len(frame.points))])
 
 
 def block_sq_dists(frame):
     """The n x n squared distance matrix assembled from the blocks of
     ``modes._BLOCK_ROWS`` rows that the silhouette pass computes."""
     n, step = len(frame.points), modes._BLOCK_ROWS
-    return np.vstack([modes._sq_dists(frame, lo, min(lo + step, n)) for lo in range(0, n, step)])
+    return np.vstack([modes._sq_dists(frame, frame.rows[lo:lo + step]) for lo in range(0, n, step)])
 
 
 def loop_silhouettes(frame, labelings):
@@ -396,7 +396,6 @@ class TestClusterModes:
         # as in np.unique, -0.0 equals 0.0: these rows are all one point
         calls = []
         monkeypatch.setattr(modes, "cdist", lambda *args: calls.append(args))
-        monkeypatch.setattr(modes, "_sq_dist_row", lambda *args: calls.append(args))
         monkeypatch.setattr(modes, "_sq_dists", lambda *args: calls.append(args))
         same = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
         assignment = cluster_modes(same, k_max=5, seed=42)
@@ -562,42 +561,41 @@ class TestSilhouette:
         assert np.array_equal(fast.labels, slow.labels)
 
     def test_distance_blocks_are_bounded(self, monkeypatch):
-        rows, blocks, shapes = [], [], []
-        real_row, real_sq_dists, real_cdist = modes._sq_dist_row, modes._sq_dists, modes.cdist
+        blocks, shapes = [], []
+        real_sq_dists, real_cdist = modes._sq_dists, modes.cdist
 
-        def counting_row(frame, c):
-            rows.append(c)
-            return real_row(frame, c)
-
-        def counting_sq_dists(frame, lo, hi):
-            blocks.append(hi - lo)
-            return real_sq_dists(frame, lo, hi)
+        def counting_sq_dists(frame, idx):
+            blocks.append(np.asarray(idx).tolist())
+            return real_sq_dists(frame, idx)
 
         def counting_cdist(xa, xb, *args, **kwargs):
             shapes.append((len(xa), len(xb)))
             return real_cdist(xa, xb, *args, **kwargs)
 
-        monkeypatch.setattr(modes, "_sq_dist_row", counting_row)
         monkeypatch.setattr(modes, "_sq_dists", counting_sq_dists)
         monkeypatch.setattr(modes, "cdist", counting_cdist)
         for _, points, k_max in blob_sets():
             n = len(points)
-            rows.clear()
             blocks.clear()
             shapes.clear()
             cluster_modes(points, k_max=k_max, seed=42)
-            # one row per seed of every K, then every row once in blocks
             ks = range(2, min(k_max, len(np.unique(points + 0.0, axis=0))) + 1)
-            assert len(rows) == sum(ks)
-            assert blocks == [min(modes._BLOCK_ROWS, n - lo) for lo in range(0, n, modes._BLOCK_ROWS)]
+            # seeding: one block of every K's first seed, then one block per
+            # draw step j of the seeds of the K's with k > j, so one row per
+            # seed of every K
+            seeding = [len(ks)] + [sum(k > j for k in ks) for j in range(1, max(ks))]
+            assert [len(block) for block in blocks[:len(seeding)]] == seeding
+            assert sum(seeding) == sum(ks)
+            # then every row once, in blocks of _BLOCK_ROWS rows
+            assert blocks[len(seeding):] == [list(range(lo, min(lo + modes._BLOCK_ROWS, n)))
+                                             for lo in range(0, n, modes._BLOCK_ROWS)]
             # what is left on cdist is Lloyd's points-to-centroids distances
             assert shapes and all(m == n and k <= k_max for m, k in shapes)
-        rows.clear()
         blocks.clear()
         shapes.clear()
         assignment = cluster_modes(np.tile([1.0, 2.0], (12, 1)), k_max=5, seed=42)
         assert assignment.k == 1
-        assert rows == [] and blocks == [] and shapes == []
+        assert blocks == [] and shapes == []
 
 
 class TestMemory:
@@ -621,6 +619,7 @@ class TestMemory:
 class TestPairwiseDistances:
     def test_matches_cdist(self):
         rng = np.random.default_rng(10)
+        idx_rng = np.random.default_rng(14)  # apart, so the point sets stay those of rng alone
         for trial in range(90):
             n = int(rng.integers(3, 301))
             dim = int(rng.integers(1, 401))
@@ -634,20 +633,24 @@ class TestPairwiseDistances:
             frame = modes._frame(points)
             exact = cdist(points, points, "sqeuclidean")
             scale = exact.max()
-            # as seeding reads them (one row per call) and as the silhouette
-            # pass reads them (blocks of _BLOCK_ROWS rows)
+            # in 1-row blocks and as the silhouette pass reads them (blocks of
+            # _BLOCK_ROWS rows)
             for sq_dist in (row_sq_dists(frame), block_sq_dists(frame)):
                 assert np.abs(sq_dist - sq_dist.T).max() <= 1e-13 * scale, (trial, n, dim)
                 assert (np.diagonal(sq_dist) == 0.0).all()
                 assert np.abs(sq_dist - exact).max() <= 1e-13 * scale, (trial, n, dim)
+            # as seeding reads them: blocks of 1-9 rows in any order, repeats included
+            for _ in range(3):
+                idx = idx_rng.integers(0, n, int(idx_rng.integers(1, 10)))
+                sq_dist = modes._sq_dists(frame, idx)
+                assert (sq_dist[np.arange(len(idx)), idx] == 0.0).all()
+                assert np.abs(sq_dist - exact[idx]).max() <= 1e-13 * scale, (trial, n, dim)
 
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_selection_matches_cdist(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_sq_dist_row", lambda frame, c: cdist(
-            frame.points[c:c + 1], frame.points, "sqeuclidean")[0])
-        monkeypatch.setattr(modes, "_sq_dists", lambda frame, lo, hi: cdist(
-            frame.points[lo:hi], frame.points, "sqeuclidean"))
+        monkeypatch.setattr(modes, "_sq_dists", lambda frame, idx: cdist(
+            frame.points[idx], frame.points, "sqeuclidean"))
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
@@ -774,12 +777,25 @@ class TestSeeding:
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_matches_direct_form_oracle(self, monkeypatch, points, k_max):
         fast = cluster_modes(points, k_max=k_max, seed=42)
-        monkeypatch.setattr(modes, "_kmeans_pp_init",
-                            lambda frame, k, rng: direct_kmeans_pp_init(frame.points, k, rng))
+        monkeypatch.setattr(modes, "_kmeans_pp_init", lambda frame, ks, rngs: [
+            direct_kmeans_pp_init(frame.points, k, rng) for k, rng in zip(ks, rngs)])
         slow = cluster_modes(points, k_max=k_max, seed=42)
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
 
+    @staticmethod
+    def assert_draws_match_choice(points, sq_dist, ks, rng_seed, context):
+        """Lockstep seeding that reads rows of ``sq_dist`` draws, for each K,
+        the seeds of ``choice_kmeans_pp_init`` on ``sq_dist``, and leaves its
+        generator in the same state."""
+        rngs = [np.random.default_rng([*rng_seed, k]) for k in ks]
+        got = modes._kmeans_pp_init(modes._frame(points), ks, rngs)
+        assert len(got) == len(ks), context
+        for k, centers, got_rng in zip(ks, got, rngs):
+            want_rng = np.random.default_rng([*rng_seed, k])
+            want = choice_kmeans_pp_init(points, sq_dist, k, want_rng)
+            assert centers.tobytes() == want.tobytes(), (*context, k)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (*context, k)
 
     @pytest.mark.parametrize("kind", ["all_zero", "uniform", "zeros", "one_nonzero", "wide_range"])
     def test_draw_matches_choice(self, monkeypatch, kind):
@@ -790,25 +806,18 @@ class TestSeeding:
             w = draw_weights(kind, n, rng)
             sq_dist = np.broadcast_to(w, (n, n))
             points = np.arange(n, dtype=np.float64)[:, None]
-            frame = modes._frame(points)
-            monkeypatch.setattr(modes, "_sq_dist_row", lambda frame, c: sq_dist[c].copy())
+            monkeypatch.setattr(modes, "_sq_dists", lambda frame, idx: sq_dist[idx].copy())
             for seed in range(4):
-                got_rng, want_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-                got = modes._kmeans_pp_init(frame, 8, got_rng)
-                want = choice_kmeans_pp_init(points, sq_dist, 8, want_rng)
-                assert got.tobytes() == want.tobytes(), (kind, n, seed)
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (kind, n, seed)
+                self.assert_draws_match_choice(points, sq_dist, range(2, 9), [seed, n],
+                                               (kind, n, seed))
 
-    def test_gram_matrix_draws_match_choice(self):
+    def test_gram_matrix_draws_match_choice(self, monkeypatch):
         for name, points, k_max in blob_sets():
-            frame = modes._frame(points)
-            sq_dist = row_sq_dists(frame)
-            for k in range(2, k_max + 1):
-                got_rng, want_rng = np.random.default_rng([42, k]), np.random.default_rng([42, k])
-                got = modes._kmeans_pp_init(frame, k, got_rng)
-                want = choice_kmeans_pp_init(points, sq_dist, k, want_rng)
-                assert got.tobytes() == want.tobytes(), (name, k)
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (name, k)
+            sq_dist = row_sq_dists(modes._frame(points))
+            with monkeypatch.context() as patch:
+                patch.setattr(modes, "_sq_dists", lambda frame, idx: sq_dist[idx].copy())
+                self.assert_draws_match_choice(points, sq_dist, range(2, k_max + 1), [42],
+                                               (name,))
 
 
 class TestSharedFrame:
@@ -834,16 +843,24 @@ class TestSharedFrame:
                 assert got[j].tobytes() == want.tobytes(), (trial, j)
 
     @staticmethod
-    def per_call_reference(monkeypatch, points, k_max, seed):
+    def fast_and_reference(monkeypatch, points, k_max, seed):
+        """``cluster_modes`` and its per-call reference, both seeding from
+        the rows of one matrix, the silhouette pass's blocks: a Gram-form
+        row's last bits depend on the other rows of its block, and where the
+        distances are mostly rounding (``tight_far_apart``) other bits draw
+        other seeds."""
+        sq_dist = block_sq_dists(modes._frame(points))
         with monkeypatch.context() as patch:
-            patch.setattr(modes, "_kmeans_pp_init", lambda frame, k, rng: choice_kmeans_pp_init(
-                frame.points, row_sq_dists(frame), k, rng))
+            patch.setattr(modes, "_sq_dists", lambda frame, idx: sq_dist[idx].copy())
+            fast = cluster_modes(points, k_max=k_max, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(modes, "_kmeans_pp_init", lambda frame, ks, rngs: [
+                choice_kmeans_pp_init(frame.points, sq_dist, k, rng) for k, rng in zip(ks, rngs)])
             patch.setattr(modes, "_lloyd",
                           lambda frame, centers: masked_mean_lloyd(frame.points, centers))
             patch.setattr(modes, "_mean_silhouettes", lambda frame, labelings: [
-                matvec_silhouette(np.sqrt(block_sq_dists(frame)), labels, k)
-                for labels, k in labelings])
-            return cluster_modes(points, k_max=k_max, seed=seed)
+                matvec_silhouette(np.sqrt(sq_dist), labels, k) for labels, k in labelings])
+            return fast, cluster_modes(points, k_max=k_max, seed=seed)
 
     @staticmethod
     def assert_same(fast, slow):
@@ -854,11 +871,8 @@ class TestSharedFrame:
 
     @pytest.mark.parametrize("points,k_max", [pytest.param(p, k, id=name) for name, p, k in blob_sets()])
     def test_matches_per_call_reference(self, monkeypatch, points, k_max):
-        fast = cluster_modes(points, k_max=k_max, seed=42)
-        self.assert_same(fast, self.per_call_reference(monkeypatch, points, k_max, 42))
+        self.assert_same(*self.fast_and_reference(monkeypatch, points, k_max, 42))
 
     def test_signed_zero_grids_match_per_call_reference(self, monkeypatch):
         for seed in range(40):
-            points = signed_zero_grid(seed)
-            fast = cluster_modes(points, k_max=6, seed=seed)
-            self.assert_same(fast, self.per_call_reference(monkeypatch, points, 6, seed))
+            self.assert_same(*self.fast_and_reference(monkeypatch, signed_zero_grid(seed), 6, seed))

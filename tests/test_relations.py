@@ -3,12 +3,16 @@
 The goldens pin one fixture's bytes; these relations hold for any input:
 analyzing one condition alone gives that condition's sample, exact rescaling
 of the embeddings and reordering of the input lines change no output, the
-thread count changes no output, and a planted Zipf effect is found in the
-planted direction.
+thread count changes no output, neither do the BLAS kernel and its thread
+count, and a planted Zipf effect is found in the planted direction.
 """
 
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -16,10 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coreval
 from coreval.cli import EXIT_OK, main
 from coreval.lawfit import synth_zipf_stream
 from coreval.report import fmt6
 from conftest import DATA_DIR, dialog_jsonl_line, echo_embed_handler
+from test_paper_golden import PAPER_ARGS, PAPER_GOLDEN_DIR, write_paper_inputs
 
 FIXTURE_CORPUS = DATA_DIR / "fixture_corpus.jsonl"
 FIXTURE_EMBEDDINGS = DATA_DIR / "fixture_embeddings.jsonl"
@@ -128,3 +134,67 @@ def test_planted_zipf_effect_is_found_in_its_direction(tmp_path):
         assert float(row["u"]) == (64 if PLANTED_ALPHA[a] > PLANTED_ALPHA[b] else 0)
         assert float(row["p_value"]) == pytest.approx(2 / comb(16, 8), rel=1e-5)
         assert row["method"] == "exact"
+
+
+# OpenBLAS setups that must give the goldens' bytes, each with the CPU flags
+# (as /proc/cpuinfo names them) that its forced kernel needs: a kernel newer
+# than the CPU can stop the process with an illegal instruction
+BLAS_SETUPS = {
+    "one-thread": ({"OPENBLAS_NUM_THREADS": "1"}, set()),
+    "haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, {"avx2", "fma"}),
+    "prescott-one-thread": ({"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"},
+                            {"pni"}),
+}
+
+
+def x86_cpu_flags() -> set[str] | None:
+    """The CPU's feature flags on x86 Linux; None elsewhere."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return None
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return None
+    return next((set(line.split(":", 1)[1].split()) for line in cpuinfo.splitlines()
+                 if line.startswith("flags")), None)
+
+
+def numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 has no ``mode``
+        return "unknown"
+
+
+@pytest.mark.parametrize("setup", list(BLAS_SETUPS))
+def test_blas_kernel_and_thread_count_change_no_output(tmp_path, setup):
+    env, needs = BLAS_SETUPS[setup]
+    blas = numpy_blas()
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS, which the OPENBLAS_* settings set")
+    if needs:
+        flags = x86_cpu_flags()
+        if flags is None:
+            pytest.skip("forcing an OpenBLAS kernel is tested on x86 Linux only")
+        if not needs <= flags:
+            pytest.skip(f"the CPU lacks {sorted(needs - flags)}, "
+                        f"which the {env['OPENBLAS_CORETYPE']} kernel needs")
+    write_paper_inputs(tmp_path)
+    # the child imports the coreval these tests import; the settings are its own
+    path = os.pathsep.join(filter(None, [str(Path(coreval.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    child_env = {**os.environ, **env, "PYTHONPATH": path}
+    runs = [(DATA_DIR, [FIXTURE_CORPUS.name, "--embeddings", FIXTURE_EMBEDDINGS.name],
+             DATA_DIR / "golden"),
+            (tmp_path, PAPER_ARGS, PAPER_GOLDEN_DIR)]
+    children = [subprocess.Popen([sys.executable, "-m", "coreval.cli", "analyze", *args,
+                                  "--out-dir", str(tmp_path / f"out{i}")],
+                                 cwd=cwd, env=child_env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE, text=True)
+                for i, (cwd, args, _) in enumerate(runs)]
+    errors = [child.communicate()[1] for child in children]
+    for i, (child, err, (_, _, golden)) in enumerate(zip(children, errors, runs)):
+        assert child.returncode == EXIT_OK, err
+        for name in OUTPUTS:
+            assert (tmp_path / f"out{i}" / name).read_bytes() == (golden / name).read_bytes(), \
+                (setup, golden, name)

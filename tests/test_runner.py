@@ -1,6 +1,7 @@
 """Dialog generation tests against deterministic mock chat endpoints."""
 
 import json
+import math
 import threading
 import time
 from pathlib import Path
@@ -235,6 +236,10 @@ class TestGenerateDialogs:
         with pytest.raises(ValueError):
             GenerationConfig(endpoint_a="x", endpoint_b="x", model_a="m", model_b="m",
                              condition="neutral", top_p=0.0)
+        for temperature in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^temperature must be finite and >= 0$"):
+                GenerationConfig(endpoint_a="x", endpoint_b="x", model_a="m", model_b="m",
+                                 condition="neutral", temperature=temperature)
         for field in ("dialogs", "turns", "max_tokens"):
             with pytest.raises(ValueError, match="must be >= 1"):
                 GenerationConfig(endpoint_a="x", endpoint_b="x", model_a="m", model_b="m",
