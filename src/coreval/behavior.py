@@ -191,14 +191,19 @@ def behavior_profile(dialog: Dialog, *, ngram_n: int = 3,
                      sentiment_lexicon: dict[str, float] | None = None) -> BehaviorProfile:
     """All lexical behavioral metrics for one dialog, over its concatenated text.
 
-    Toxicity is left absent: score it for many dialogs at once with
-    ``toxicity`` over their ``dialog_text``.
+    A dialog with no word tokens (every turn punctuation, such as "...")
+    has nothing to rate: every rate and the sentiment are 0.0, with a
+    logged warning.  Toxicity is left absent: score it for many dialogs at
+    once with ``toxicity`` over their ``dialog_text``.
     """
     if cue_lexicons is None:
         cue_lexicons = default_cue_lexicons()
     tokens = dialog.tokens()
     if not tokens:
-        raise ValueError(f"dialog {dialog.id!r} has no tokens")
+        logger.warning("dialog %r has no word tokens; its rates and sentiment set to 0",
+                       dialog.id)
+        return BehaviorProfile(repetition_rate=0.0, agreement_rate=0.0, disagreement_rate=0.0,
+                               hedging_rate=0.0, sentiment=0.0)
     return BehaviorProfile(
         repetition_rate=repetition_rate(tokens, ngram_n),
         agreement_rate=cue_rate(tokens, cue_lexicons["agreement"]),

@@ -22,6 +22,15 @@ class EmbeddingError(ValueError):
     """Embedding input violates the matrix contract (missing key, bad vector, ...)."""
 
 
+def _row_problems(rows: np.ndarray) -> list[tuple[int, str]]:
+    """(index, problem) of each row that holds a non-finite value or has a
+    zero sum of squares, in row order."""
+    finite = np.isfinite(rows).all(axis=1)
+    bad = ~finite | (np.einsum("ij,ij->i", rows, rows) == 0.0)
+    return [(i, "zero-norm vector" if finite[i] else "non-finite value in vector")
+            for i in np.flatnonzero(bad).tolist()]
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """One float64 row per utterance key, each finite and non-zero (the modes
@@ -39,11 +48,9 @@ class EmbeddingMatrix:
             raise EmbeddingError(f"{rows.shape[0]} rows for {len(self.keys)} keys")
         if rows.shape[1] < 1:
             raise EmbeddingError("embedding dimension must be >= 1")
-        finite = np.isfinite(rows).all(axis=1)
-        bad = ~finite | (np.einsum("ij,ij->i", rows, rows) == 0.0)
-        if bad.any():
-            first = int(bad.argmax())
-            problem = "zero-norm vector" if finite[first] else "non-finite value in vector"
+        problems = _row_problems(rows)
+        if problems:
+            first, problem = problems[0]
             raise EmbeddingError(f"{self.keys[first]}: {problem}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_index", {k: i for i, k in enumerate(self.keys)})
@@ -72,11 +79,19 @@ def load_embeddings(path: str | Path, corpus: Corpus) -> EmbeddingMatrix:
     """Read embedding JSONL and align rows to the corpus iteration order.
 
     Each line is {"dialog_id": str, "turn_index": int, "vector": [...]}.
-    File order is irrelevant; alignment is by (dialog_id, turn_index).
-    Every line is validated, also one whose key the corpus does not hold.
-    Raises EmbeddingError naming the first missing or duplicated key.
+    File order is irrelevant; alignment is by (dialog_id, turn_index).  Each
+    vector is written straight into its row of the corpus-ordered matrix, so
+    the rows are held once.  Every line is validated, also one whose key the
+    corpus does not hold: a malformed line raises EmbeddingError at once,
+    then the first bad vector in file order is named, then the first key of
+    the corpus the file lacks.
     """
-    by_key: dict[tuple[str, int], np.ndarray] = {}
+    keys = tuple(corpus.utterance_keys())
+    index = {key: i for i, key in enumerate(keys)}
+    line_of = [0] * len(keys)  # the line of each row, 0 while it is unread
+    outside: set[tuple[str, int]] = set()  # keys the corpus does not hold
+    bad_lines: list[tuple[int, tuple[str, int], str]] = []  # (line, key, problem)
+    rows: np.ndarray | None = None
     dim: int | None = None
     with open(path, "r", encoding="utf-8") as lines:
         for lineno, raw in enumerate(lines, start=1):
@@ -94,16 +109,29 @@ def load_embeddings(path: str | Path, corpus: Corpus) -> EmbeddingMatrix:
                 raise EmbeddingError(f"line {lineno}: bad record: {exc}") from None
             if type(key[1]) is not int:  # a JSON integer; bool is an int subclass
                 raise EmbeddingError(f"line {lineno}: bad record: turn_index {key[1]!r:.50}")
-            if key in by_key:
+            i = index.get(key)
+            if key in outside if i is None else line_of[i] > 0:
                 raise EmbeddingError(f"line {lineno}: duplicate key {key}")
             dim = _check_vector(key, vec, dim)
-            by_key[key] = vec
+            if i is None:  # rare: checked on its own, as the row it would be
+                outside.add(key)
+                bad_lines += [(lineno, key, problem) for _, problem in _row_problems(vec[None])]
+                continue
+            if rows is None:  # zeros, so an unread row holds no garbage
+                rows = np.zeros((len(keys), dim))
+            rows[i] = vec
+            line_of[i] = lineno
 
-    # an empty file gives a 0-row matrix, and subset names the first missing key
-    matrix = EmbeddingMatrix(keys=tuple(by_key),
-                             rows=np.vstack(list(by_key.values())) if by_key else np.empty((0, 1)))
-    del by_key  # the per-line arrays are not kept alive next to both matrices
-    return matrix.subset(corpus)
+    if rows is None:  # no line holds a key of the corpus
+        rows = np.zeros((len(keys), dim or 1))
+    bad_lines += [(line_of[i], keys[i], problem) for i, problem in _row_problems(rows)
+                  if line_of[i]]
+    if bad_lines:  # the first in file order
+        _, key, problem = min(bad_lines)
+        raise EmbeddingError(f"{key}: {problem}")
+    if 0 in line_of:  # an empty file names the first corpus key
+        raise EmbeddingError(f"missing embedding for utterance {keys[line_of.index(0)]}")
+    return EmbeddingMatrix(keys=keys, rows=rows)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:

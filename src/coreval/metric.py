@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Dialog, extract_ngrams, ngram_counts, rank_frequency, vocab_growth
+from .corpus import Corpus, CorpusError, Dialog, extract_ngrams, ngram_counts, rank_frequency, \
+    vocab_growth
 from .embeddings import EmbeddingMatrix, dialog_stagnation
 from .lawfit import FitError, fit_heaps, fit_zipf
 from .modes import ModeAssignment, ModeDistribution, cluster_modes, mode_distribution, \
@@ -205,12 +206,13 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
     ``assignment`` to reuse one); repetition is measured on the per-dialog
     n-gram counts summed over the corpus; stagnation is the mean over
     dialogs with at least two utterances.  A corpus with no such dialog gets
-    stagnation_term 0 and the no_stagnation_pairs flag.  Raises if the
-    corpus has no tokens or the assignment has an empty cluster id.
+    stagnation_term 0 and the no_stagnation_pairs flag.  Raises CorpusError
+    if the corpus has no tokens, and ValueError if the assignment has an
+    empty cluster id.
     """
     _check_alignment(corpus, matrix)
     if not any(True for _ in corpus.iter_tokens()):
-        raise ValueError("corpus has zero tokens")
+        raise CorpusError("corpus has zero tokens")
 
     alpha, beta, fit_flags = resolve_exponents(corpus, config)
     flags = set(fit_flags)

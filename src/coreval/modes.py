@@ -17,7 +17,10 @@ pass over blocks of ``_BLOCK_ROWS`` rows: each block's Euclidean distances
 to every row are multiplied by one n x sum(K) matrix of every K's one-hot
 labels, which gives every point's distance sum to every cluster of every
 K.  So memory is O(n * (d + sum(K)) + B * n) for B = ``_BLOCK_ROWS``: at
-n = 900 a block is 0.9 MB, where an n x n matrix would be 6.5 MB.
+n = 900 a block is 0.9 MB, where an n x n matrix would be 6.5 MB.  Lloyd's
+n x d scratch buffer is freed before the silhouette pass, so the blocks
+never coexist with it, and the count of distinct rows that bounds K copies
+no rows: it reads one row at a time and stops at k_max.
 
 Every K's Lloyd run reads one frame built once per call: the rows, their
 column mean, the centered rows and their squared norms, the near-tie
@@ -101,7 +104,9 @@ class _Frame(NamedTuple):
     sq_norms: np.ndarray  # squared norms of the centered rows
     tol: float  # Gram-form entries closer than this to a row's minimum are near ties
     rows: np.ndarray  # arange(n)
-    buf: np.ndarray  # n x d scratch, C order so a run of rows is one contiguous block
+    # n x d scratch for Lloyd, C order so a run of rows is one contiguous
+    # block; cluster_modes drops it (None) before the silhouette pass
+    buf: np.ndarray | None
 
 
 def _frame(points: np.ndarray) -> _Frame:
@@ -301,16 +306,22 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"clustering needs >= 2 utterances, got {n}")
+    # K goes up to min(k_max, distinct rows), so the count stops at k_max;
     # adding 0.0 turns -0.0 into +0.0, so rows that differ only there count as one
-    n_distinct = len({row.tobytes() for row in points + 0.0})
-    if n_distinct == 1:
+    distinct: set[bytes] = set()
+    for row in points:
+        distinct.add((row + 0.0).tobytes())
+        if len(distinct) == k_max:
+            break
+    if len(distinct) == 1:
         return ModeAssignment(k=1, labels=np.zeros(n, dtype=np.int64),
                               centroids=points[:1].copy(), inertia=0.0, seed=seed)
 
     frame = _frame(points)
-    ks = range(2, min(k_max, n_distinct) + 1)
+    ks = range(2, len(distinct) + 1)
     rngs = [np.random.default_rng([seed, k]) for k in ks]
     runs = [_lloyd(frame, centers) for centers in _kmeans_pp_init(frame, ks, rngs)]
+    frame = frame._replace(buf=None)  # Lloyd's scratch is freed before the silhouette blocks
     scores = _mean_silhouettes(frame, [(labels, k) for k, (labels, _, _) in zip(ks, runs)])
     best = max(range(len(ks)), key=scores.__getitem__)  # ties go to the smaller K
     labels, centroids, inertia = runs[best]

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, rank_frequency
+from .corpus import Corpus, CorpusError, rank_frequency
 from .embeddings import EmbeddingMatrix
 from .metric import CoreBreakdown, CoreConfig, compute_core, core_per_dialog
 from .modes import cluster_modes
@@ -88,9 +88,14 @@ def analyze_corpus(label: str, corpus: Corpus, matrix: EmbeddingMatrix,
     what the condition-comparison command consumes.
 
     A condition in which no dialog has two utterances has no stagnation
-    pair to score; it gets no sample, and a warning is logged."""
+    pair to score, and one with no word tokens has no exponents to fit;
+    neither gets a sample, and a warning is logged.  A corpus with no word
+    tokens raises CorpusError naming ``label``."""
     assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
-    breakdown = compute_core(corpus, matrix, config, assignment=assignment)
+    try:
+        breakdown = compute_core(corpus, matrix, config, assignment=assignment)
+    except CorpusError as exc:
+        raise CorpusError(f"{label}: {exc}") from None
     per_dialog = [(d.id, d.condition, b) for d, (_, b) in
                   zip(corpus.dialogs, core_per_dialog(corpus, matrix, config, assignment))]
 
@@ -101,8 +106,12 @@ def analyze_corpus(label: str, corpus: Corpus, matrix: EmbeddingMatrix,
             logger.warning("%s: condition %r has no dialog with >= 2 utterances; "
                            "no condition sample written", label, condition)
             continue
-        sub_matrix = matrix.subset(sub)
-        sub_breakdown = compute_core(sub, sub_matrix, config)
+        try:
+            sub_breakdown = compute_core(sub, matrix.subset(sub), config)
+        except CorpusError:  # its probe for a first token found none
+            logger.warning("%s: condition %r has no word tokens; no condition sample written",
+                           label, condition)
+            continue
         stats = rank_frequency(sub)
         samples.append({
             "corpus": label,

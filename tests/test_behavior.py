@@ -9,7 +9,7 @@ import pytest
 
 from coreval._http import EndpointError
 from coreval.behavior import (
-    CUE_NAMES, TOXICITY_BATCH, CueLexicon, behavior_profile, cue_rate,
+    CUE_NAMES, TOXICITY_BATCH, BehaviorProfile, CueLexicon, behavior_profile, cue_rate,
     default_cue_lexicons, dialog_text, load_cue_lexicon, load_sentiment_lexicon,
     repetition_rate, sentiment, toxicity,
 )
@@ -294,6 +294,17 @@ class TestBehaviorProfile:
                          profile.disagreement_rate, profile.hedging_rate):
                 assert 0.0 <= rate <= 1.0
             assert -1.0 <= profile.sentiment <= 1.0
+
+    def test_dialog_without_word_tokens_rates_zero_with_warning(self, caplog):
+        # every turn is the generator's "..." placeholder: legal input with no token
+        dialog = make_dialog("m__m__neutral__0", "neutral", ["...", "..."])
+        with caplog.at_level(logging.WARNING, logger="coreval.behavior"):
+            profile = behavior_profile(dialog)
+        assert profile == BehaviorProfile(repetition_rate=0.0, agreement_rate=0.0,
+                                          disagreement_rate=0.0, hedging_rate=0.0,
+                                          sentiment=0.0)
+        assert any(r.name == "coreval.behavior" and "'m__m__neutral__0'" in r.getMessage()
+                   for r in caplog.records)
 
     def test_repeat_invocation_identical(self):
         dialog = make_dialog("d", "neutral", ["i agree this is great", "maybe not really"])

@@ -159,6 +159,43 @@ class TestAnalyze:
         assert any(r.name == "coreval.report" and "'neutral'" in r.getMessage()
                    for r in caplog.records)
 
+    def test_condition_without_word_tokens_is_skipped(self, tmp_path, caplog):
+        # every neutral turn is the generator's "..." placeholder: the corpus
+        # has tokens, the neutral condition none, so it has no exponents to fit
+        dialogs = [json.loads(line) for line in Path(FIXTURE_CORPUS).read_text().splitlines()]
+        for d in dialogs:
+            if d["condition"] == "neutral":
+                for turn in d["turns"]:
+                    turn["text"] = "..."
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs))
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="coreval.report"):
+            code = main(["analyze", str(corpus), "--embeddings", FIXTURE_EMBEDDINGS,
+                         "--out-dir", str(out)])
+        assert code == EXIT_OK
+        samples = read_csv(out / "condition_samples.csv")
+        assert {s["condition"] for s in samples} == {"cooperative", "competitive"}
+        rows = read_csv(out / "per_dialog.csv")
+        assert len(rows) == 12
+        assert all("empty_ngrams" in r["flags"] for r in rows if r["condition"] == "neutral")
+        assert any(r.name == "coreval.report" and "'neutral'" in r.getMessage()
+                   and "no word tokens" in r.getMessage() for r in caplog.records)
+
+    def test_corpus_without_word_tokens_names_its_path(self, tmp_path, capsys):
+        dialogs = [json.loads(line) for line in Path(FIXTURE_CORPUS).read_text().splitlines()]
+        for d in dialogs:
+            for turn in d["turns"]:
+                turn["text"] = "..."
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs))
+        out = tmp_path / "out"
+        code = main(["analyze", str(corpus), "--embeddings", FIXTURE_EMBEDDINGS,
+                     "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"coreval: error: {corpus}: corpus has zero tokens\n"
+        assert not out.exists()
+
     def test_corpus_without_stagnation_pair_is_flagged(self, tmp_path):
         # every dialog cut to its first turn: the corpus gets a flagged breakdown
         # and every condition is skipped
@@ -328,6 +365,26 @@ class TestBehaviorCommand:
         assert all(r["toxicity"] == "" for r in rows)
         for r in rows:
             assert 0.0 <= float(r["repetition_rate"]) <= 1.0
+
+    def test_dialog_without_word_tokens_gets_zero_rates(self, tmp_path, caplog, mock_service):
+        # a dialog of "..." placeholders gets rates of 0 and is still scored
+        # for toxicity; the other dialog keeps its rates
+        service = mock_service(
+            lambda path, payload: (200, {"scores": [0.5] * len(payload["texts"])}))
+        corpus = tmp_path / "in.jsonl"
+        corpus.write_text(
+            dialog_jsonl_line("m__m__neutral__0", "neutral", ["...", "..."], "m", "m") + "\n"
+            + dialog_jsonl_line("m__m__neutral__1", "neutral", ["i agree", "yes"], "m", "m")
+            + "\n")
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="coreval.behavior"):
+            code = main(["behavior", str(corpus), "--toxicity-endpoint", service.url,
+                         "--out-dir", str(out)])
+        assert code == EXIT_OK
+        lines = (out / "behavior.csv").read_text().splitlines()
+        assert lines[1] == "m__m__neutral__0,neutral,0.5,0,0,0,0,0"
+        assert float(read_csv(out / "behavior.csv")[1]["agreement_rate"]) > 0
+        assert any("'m__m__neutral__0'" in r.getMessage() for r in caplog.records)
 
     def test_behavior_with_toxicity(self, tmp_path, mock_service):
         service = mock_service(

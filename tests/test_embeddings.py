@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,49 @@ class TestLoadEmbeddings:
         ]
         matrix = load_embeddings(embed_jsonl(records), two_turn_corpus)
         assert matrix.rows.shape == (2, 2)
+
+    @pytest.mark.parametrize("lines,message", [
+        # a malformed line is raised at once, though a bad row comes before it
+        ([{"dialog_id": "d1", "turn_index": 0, "vector": [1.0, float("nan")]}, "{"],
+         r"^line 2: invalid JSON: "),
+        # bad rows are named in file order, whether the corpus holds their key or not
+        ([{"dialog_id": "other", "turn_index": 0, "vector": [0.0, 0.0]},
+          {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, float("nan")]},
+          {"dialog_id": "d1", "turn_index": 1, "vector": [3.0, 4.0]}],
+         r"^\('other', 0\): zero-norm vector$"),
+        ([{"dialog_id": "d1", "turn_index": 0, "vector": [1.0, float("nan")]},
+          {"dialog_id": "other", "turn_index": 0, "vector": [0.0, 0.0]},
+          {"dialog_id": "d1", "turn_index": 1, "vector": [3.0, 4.0]}],
+         r"^\('d1', 0\): non-finite value in vector$"),
+        ([{"dialog_id": "d1", "turn_index": 1, "vector": [0.0, 0.0]},
+          {"dialog_id": "d1", "turn_index": 0, "vector": [1.0, float("nan")]}],
+         r"^\('d1', 1\): zero-norm vector$"),
+        # a bad row is named before a missing key
+        ([{"dialog_id": "d1", "turn_index": 1, "vector": [0.0, 0.0]}],
+         r"^\('d1', 1\): zero-norm vector$"),
+    ])
+    def test_first_fault_named(self, two_turn_corpus, tmp_path, lines, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                                for line in lines))
+        with pytest.raises(EmbeddingError, match=message):
+            load_embeddings(path, two_turn_corpus)
+
+    def test_peak_memory_near_the_matrix(self, tmp_path):
+        # the rows are written straight into the returned matrix: no per-line
+        # arrays, file-order matrix or re-aligned copy live next to it
+        corpus = make_corpus([(f"d{i}", "neutral", ["a b"] * 10) for i in range(90)])
+        rows = np.random.default_rng(7).normal(size=(900, 384))
+        path = tmp_path / "emb.jsonl"
+        save_embeddings(matrix_for(corpus, rows), path)
+        tracemalloc.start()
+        try:
+            matrix = load_embeddings(path, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(matrix.rows, rows)
+        assert peak <= 1.5 * matrix.rows.nbytes, peak / matrix.rows.nbytes
 
     def test_save_load_round_trip_bit_exact(self, two_turn_corpus, tmp_path):
         rng = np.random.default_rng(3)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coreval.corpus import parse_corpus
+from coreval.corpus import CorpusError, parse_corpus
 from coreval.embeddings import load_embeddings
 from coreval.metric import (
     FLAG_DEGENERATE_MODES, FLAG_FIT_FALLBACK, FLAG_NO_STAGNATION_PAIRS,
@@ -155,7 +155,7 @@ class TestComputeCore:
     def test_zero_token_corpus_raises(self):
         corpus = make_corpus([("d", "neutral", ["!!!", "???"])])
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="zero tokens"):
+        with pytest.raises(CorpusError, match="zero tokens"):
             compute_core(corpus, matrix_for(corpus, rows), CoreConfig())
 
     def test_empty_cluster_id_raises(self):

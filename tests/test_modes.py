@@ -615,6 +615,46 @@ class TestMemory:
         assert assignment.k == 6
         assert peak < n * n, peak  # an eighth of 8 n^2 bytes
 
+    @staticmethod
+    def paper_scale_rows():
+        rng = np.random.default_rng(23)
+        points, _ = gaussian_blobs(rng, rng.normal(size=(6, 384)), 150, sigma=0.3)
+        # the first generator a process builds allocates numpy's random state
+        # once (about 0.8 MB); build it here, outside the traced call
+        np.random.default_rng([0, 2])
+        return points
+
+    def test_peak_within_two_and_a_half_matrices(self):
+        # the frame's centered rows and Lloyd's n x d scratch are the two
+        # copies it needs; the silhouette blocks come after the scratch is freed
+        points = self.paper_scale_rows()
+        tracemalloc.start()
+        try:
+            assignment = cluster_modes(points, k_max=10, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert assignment.k == 6
+        assert peak <= 2.5 * points.nbytes, peak / points.nbytes
+
+    def test_distinct_count_copies_no_rows(self, monkeypatch):
+        points = self.paper_scale_rows()
+        frame = modes._frame
+        peaks = []
+
+        def traced_frame(rows):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return frame(rows)
+
+        monkeypatch.setattr(modes, "_frame", traced_frame)
+        tracemalloc.start()
+        try:
+            cluster_modes(points, k_max=10, seed=42)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] < 0.5 * points.nbytes, peaks[0] / points.nbytes
+
 
 class TestPairwiseDistances:
     def test_matches_cdist(self):
