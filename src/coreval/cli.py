@@ -223,15 +223,15 @@ def cmd_analyze(args) -> int:
     analyses = [analyze_corpus(path, corpus, matrix, config)
                 for path, corpus, matrix in zip(args.inputs, corpora, matrices)]
 
+    report = json.dumps(analysis_report_json(analyses, config), indent=2) + "\n"
+    per_dialog = per_dialog_rows(analyses)
+    samples = condition_sample_rows(analyses)
+    summary = summary_rows(analyses, ddof=1 if args.sample_std else 0)
     out = _out_dir(args)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(analysis_report_json(analyses, config), fh, indent=2)
-        fh.write("\n")
-    write_csv(out / "per_dialog.csv", PER_DIALOG_HEADER, per_dialog_rows(analyses))
-    write_csv(out / "condition_samples.csv", CONDITION_SAMPLES_HEADER,
-              condition_sample_rows(analyses))
-    write_csv(out / "summary.csv", SUMMARY_HEADER,
-              summary_rows(analyses, ddof=1 if args.sample_std else 0))
+    (out / "report.json").write_text(report, encoding="utf-8")
+    write_csv(out / "per_dialog.csv", PER_DIALOG_HEADER, per_dialog)
+    write_csv(out / "condition_samples.csv", CONDITION_SAMPLES_HEADER, samples)
+    write_csv(out / "summary.csv", SUMMARY_HEADER, summary)
     print(f"analyzed {len(analyses)} corpora -> {out}/report.json")
     return EXIT_OK
 

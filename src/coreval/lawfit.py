@@ -83,7 +83,8 @@ def fit_heaps(curve: VocabGrowthCurve | Iterable[tuple[float, float]]) -> FitRes
     """Fit v ~ K * n^exponent on a vocabulary-growth curve.
 
     Accepts a VocabGrowthCurve or any iterable of (n, v) pairs with n >= 1
-    and v >= 1.  Raises FitError on fewer than two points.
+    and v >= 1.  Raises FitError on fewer than two points or on points that
+    all share one n, which give no slope.
     """
     points = curve.points if isinstance(curve, VocabGrowthCurve) else list(curve)
     if len(points) < 2:
@@ -92,6 +93,8 @@ def fit_heaps(curve: VocabGrowthCurve | Iterable[tuple[float, float]]) -> FitRes
     vs = np.asarray([p[1] for p in points], float)
     if np.any(ns < 1) or np.any(vs < 1):
         raise FitError("heaps fit requires n >= 1 and v >= 1 at every point")
+    if np.all(ns == ns[0]):
+        raise FitError(f"heaps fit needs >= 2 distinct n values, got only n={ns[0]:g}")
     slope, intercept, r2, stderr = _loglog_ls(ns, vs)
     return FitResult(exponent=slope, log_prefactor=intercept, r_squared=r2,
                      stderr=stderr, points_used=len(points))

@@ -76,7 +76,8 @@ class CoreConfig:
             if value not in ("fit_from_corpus", "explicit"):
                 raise ValueError(f"{name} must be 'fit_from_corpus' or 'explicit', got {value!r}")
         if self.repetition_counting not in ("occurrences", "types"):
-            raise ValueError(f"repetition_counting must be 'occurrences' or 'types'")
+            raise ValueError("repetition_counting must be 'occurrences' or 'types', "
+                             f"got {self.repetition_counting!r}")
 
 
 @dataclass(frozen=True)

@@ -17,24 +17,25 @@ pass over blocks of ``_BLOCK_ROWS`` rows: each block's Euclidean distances
 to every row are multiplied by one n x sum(K) matrix of every K's one-hot
 labels, which gives every point's distance sum to every cluster of every
 K.  So memory is O(n * (d + sum(K)) + B * n) for B = ``_BLOCK_ROWS``: at
-n = 900 a block is 0.9 MB, where an n x n matrix would be 6.5 MB.  Lloyd's
-n x d scratch buffer is freed before the silhouette pass, so the blocks
-never coexist with it, and the count of distinct rows that bounds K copies
-no rows: it reads one row at a time and stops at k_max.
+n = 900 a block is 0.9 MB, where an n x n matrix would be 6.5 MB.  The
+count of distinct rows that bounds K copies no rows: it reads one row at a
+time and stops at k_max.
 
 Every K's Lloyd run reads one frame built once per call: the rows, their
-column mean, the centered rows and their squared norms, the near-tie
-tolerance and one n x d scratch buffer.  Lloyd's point-to-centroid
-distances are in the same Gram form (one n x K product per iteration) and
-their argmin sets the labels; a point whose two nearest centroids are
-within the Gram form's rounding of each other is assigned from the exact
-differences instead.  The inertia and each point's distance to its own
-centroid are summed from the exact differences, so the inertia guard stays
-exact.  Cluster sizes come from one ``bincount``, and the centroid means
-from one gather of the rows in label order.  Lloyd stops at an exact fixed
-point (no centroid moved), returning the assignment just made, which
-another one would repeat bit for bit; otherwise it stops after
-``_MAX_LLOYD_ITERS`` iterations with one more assignment.
+column mean, the centered rows and their squared norms and the near-tie
+tolerance.  Lloyd's point-to-centroid distances are in the same Gram form
+(one n x K product per iteration) and their argmin sets the labels; a point
+whose two nearest centroids are within the Gram form's rounding of each
+other is assigned from the exact differences instead.  The inertia and each
+point's distance to its own centroid are summed from the exact differences,
+taken over blocks of ``_BLOCK_ROWS`` rows, so the inertia guard stays exact.
+Cluster sizes come from one ``bincount``, and each centroid mean from one
+gather of its cluster's rows.  So besides the centered rows Lloyd holds one
+``_BLOCK_ROWS`` x d block of differences and one cluster's gathered rows at
+a time; that gather reaches n x d when one cluster holds nearly every row.
+Lloyd stops at an exact fixed point (no centroid moved), returning the
+assignment just made, which another one would repeat bit for bit; otherwise
+it stops after ``_MAX_LLOYD_ITERS`` iterations with one more assignment.
 
 The implementation is deliberately self-contained so runs are
 bit-reproducible given a seed: assignment ties resolve to the lowest cluster
@@ -53,8 +54,9 @@ import numpy as np
 from .embeddings import EmbeddingMatrix
 
 _MAX_LLOYD_ITERS = 300
-# rows of one block of distances in the silhouette pass: a block is
-# _BLOCK_ROWS x n float64, so 128 rows of 9,000 points are 9.2 MB
+# rows of one block of distances in the silhouette pass, a block of
+# _BLOCK_ROWS x n float64 (128 rows of 9,000 points are 9.2 MB), and of
+# Lloyd's point-to-own-centroid differences, _BLOCK_ROWS x d
 _BLOCK_ROWS = 128
 
 
@@ -104,9 +106,6 @@ class _Frame(NamedTuple):
     sq_norms: np.ndarray  # squared norms of the centered rows
     tol: float  # Gram-form entries closer than this to a row's minimum are near ties
     rows: np.ndarray  # arange(n)
-    # n x d scratch for Lloyd, C order so a run of rows is one contiguous
-    # block; cluster_modes drops it (None) before the silhouette pass
-    buf: np.ndarray | None
 
 
 def _frame(points: np.ndarray) -> _Frame:
@@ -120,9 +119,7 @@ def _frame(points: np.ndarray) -> _Frame:
     # are near ties (tight clusters far from the mean), decided from the
     # exact differences.
     tol = 4 * (dim + 2) * np.finfo(np.float64).eps * 2 * sq_norms.max()
-    # one buffer for every K and iteration: a fresh n x d array each time
-    # costs its page faults each time
-    return _Frame(points, mean, centered, sq_norms, tol, np.arange(n), np.empty((n, dim)))
+    return _Frame(points, mean, centered, sq_norms, tol, np.arange(n))
 
 
 def _sq_dists(frame: _Frame, idx: list[int] | np.ndarray) -> np.ndarray:
@@ -181,19 +178,13 @@ def _cluster_means(frame: _Frame, labels: np.ndarray, sizes: np.ndarray,
                    centers: np.ndarray) -> np.ndarray:
     """A copy of ``centers`` with each non-empty cluster's row set to its mean.
 
-    The rows are gathered once into the frame's buffer in stable label
-    order, so cluster j's members are one contiguous C-order block in corpus
-    order, and numpy's axis-0 sum of such a block adds its rows one after
-    another: the same bytes as ``points[labels == j].mean(axis=0)``.
+    A cluster's rows are gathered into one contiguous C-order block in
+    corpus order, and numpy's axis-0 sum of such a block adds its rows one
+    after another: the same bytes as ``points[labels == j].mean(axis=0)``.
     """
-    buf = frame.buf
-    np.take(frame.points, np.argsort(labels, kind="stable"), axis=0, out=buf, mode="clip")
     means = centers.copy()
-    lo = 0
-    for j, hi in enumerate(np.cumsum(sizes).tolist()):
-        if hi > lo:
-            means[j] = np.add.reduce(buf[lo:hi], axis=0) / (hi - lo)
-        lo = hi
+    for j in np.flatnonzero(sizes):
+        means[j] = np.add.reduce(frame.points[labels == j], axis=0) / sizes[j]
     return means
 
 
@@ -206,7 +197,7 @@ def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     RuntimeError.  A fixed point is no cluster empty and ``new - old``
     exactly 0, which holds only where the centroids are equal.
     """
-    points, mean, centered, sq_norms, tol, rows, buf = frame
+    points, mean, centered, sq_norms, tol, rows = frame
     n, k = points.shape[0], centers.shape[0]
 
     def assign(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +209,11 @@ def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
             close = points[unsure]
             labels[unsure] = np.argmin(
                 np.stack([np.sum((close - c) ** 2, axis=1) for c in centers], axis=1), axis=1)
-        # "clip" skips the copy of ``out`` that take makes to check bounds
-        # (argmin labels are in range)
-        np.take(centers, labels, axis=0, out=buf, mode="clip")
-        np.subtract(points, buf, out=buf)
-        return labels, np.einsum("ij,ij->i", buf, buf)
+        nearest = np.empty(n)
+        for lo in range(0, n, _BLOCK_ROWS):
+            diff = points[lo:lo + _BLOCK_ROWS] - centers[labels[lo:lo + _BLOCK_ROWS]]
+            np.einsum("ij,ij->i", diff, diff, out=nearest[lo:lo + _BLOCK_ROWS])
+        return labels, nearest
 
     prev_inertia = math.inf
     for _ in range(_MAX_LLOYD_ITERS):
@@ -321,7 +312,6 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     ks = range(2, len(distinct) + 1)
     rngs = [np.random.default_rng([seed, k]) for k in ks]
     runs = [_lloyd(frame, centers) for centers in _kmeans_pp_init(frame, ks, rngs)]
-    frame = frame._replace(buf=None)  # Lloyd's scratch is freed before the silhouette blocks
     scores = _mean_silhouettes(frame, [(labels, k) for k, (labels, _, _) in zip(ks, runs)])
     best = max(range(len(ks)), key=scores.__getitem__)  # ties go to the smaller K
     labels, centroids, inertia = runs[best]

@@ -153,7 +153,9 @@ def condition_sample_rows(analyses: list[CorpusAnalysis]) -> list[list[str]]:
 def summary_rows(analyses: list[CorpusAnalysis], ddof: int = 0) -> list[list[str]]:
     """Per-condition SUMMARY_HEADER rows in the metric order core,
     zipf_alpha, heaps_beta, unique_tokens.  Core is summarized over
-    per-dialog scores; the rest over per-(corpus, condition) samples."""
+    per-dialog scores; the rest over per-(corpus, condition) samples.  A
+    metric with no more than ``ddof`` values has an empty std_dev cell, and
+    a warning is logged."""
     core_by_cond: dict[str, list[float]] = {}
     sample_by_cond: dict[str, list[dict]] = {}
     for a in analyses:
@@ -172,7 +174,11 @@ def summary_rows(analyses: list[CorpusAnalysis], ddof: int = 0) -> list[list[str
             if not values:
                 continue
             row = summarize(values, ddof=ddof)
-            rows.append([condition, metric, fmt6(row.mean), fmt6(row.std_dev),
+            std = "" if math.isnan(row.std_dev) else fmt6(row.std_dev)
+            if not std:
+                logger.warning("condition %r has %d %s value(s), too few for ddof=%d; "
+                               "its std_dev is left empty", condition, len(values), metric, ddof)
+            rows.append([condition, metric, fmt6(row.mean), std,
                          fmt6(row.max), fmt6(row.min), fmt6(row.range)])
     return rows
 

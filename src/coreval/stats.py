@@ -109,12 +109,13 @@ def summarize(values: Sequence[float], ddof: int = 0) -> SummaryRow:
     """Mean / std / max / min / range of a sample.
 
     Std uses the population divisor N by default; pass ddof=1 for the
-    sample divisor.
+    sample divisor.  It is nan when there are no more than ``ddof`` values.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size < 1:
         raise ValueError("summarize needs at least one value")
     vmax = float(arr.max())
     vmin = float(arr.min())
-    return SummaryRow(mean=float(arr.mean()), std_dev=float(arr.std(ddof=ddof)),
+    std_dev = float(arr.std(ddof=ddof)) if arr.size > ddof else math.nan
+    return SummaryRow(mean=float(arr.mean()), std_dev=std_dev,
                       max=vmax, min=vmin, range=vmax - vmin)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from coreval import cli
 from coreval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_SERVICE, EXIT_VALIDATION, main
 from coreval.metric import CoreConfig
 from coreval.report import fmt6, write_csv
@@ -129,6 +130,33 @@ class TestAnalyze:
         summary = read_csv(out / "summary.csv")
         conditions = {r["condition"] for r in summary}
         assert conditions == {"cooperative", "competitive", "neutral"}
+
+    def test_sample_std_of_one_sample_is_empty(self, tmp_path, caplog):
+        # one corpus gives one sample per condition, which has no sample std
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="coreval.report"):
+            code = main(["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS,
+                         "--sample-std", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        summary = read_csv(out / "summary.csv")
+        assert len(summary) == 12
+        for row in summary:
+            assert (row["std_dev"] == "") == (row["metric"] != "core"), row
+        warned = {r.getMessage() for r in caplog.records if r.name == "coreval.report"}
+        assert len(warned) == 9
+        assert "condition 'neutral' has 1 heaps_beta value(s), too few for ddof=1; " \
+               "its std_dev is left empty" in warned
+
+    def test_failure_building_outputs_leaves_no_directory(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("cannot build the summary")
+
+        monkeypatch.setattr(cli, "summary_rows", fail)
+        out = tmp_path / "out"
+        code = main(["analyze", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS,
+                     "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_explicit_exponents(self, tmp_path):
         out = tmp_path / "out"

@@ -114,6 +114,10 @@ class TestFitHeaps:
         with pytest.raises(FitError):
             fit_heaps([(100, 40)])
 
+    def test_one_n_value(self):
+        with pytest.raises(FitError, match="distinct n"):
+            fit_heaps([(5, 3), (5, 4)])
+
     def test_invalid_values(self):
         with pytest.raises(FitError):
             fit_heaps([(1, 0.5), (10, 5)])

@@ -306,3 +306,5 @@ class TestResolveExponents:
             CoreConfig(alpha_source="guess")
         with pytest.raises(ValueError):
             CoreConfig(ngram_n=0)
+        with pytest.raises(ValueError, match="repetition_counting .*, got 'bigrams'"):
+            CoreConfig(repetition_counting="bigrams")

@@ -1,5 +1,7 @@
 """Mann-Whitney U and summary statistics tests, with an enumeration oracle."""
 
+import math
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -148,6 +150,13 @@ class TestSummarize:
     def test_sample_divisor_flagged(self):
         row = summarize([0.0, 2.0], ddof=1)
         assert row.std_dev == pytest.approx(2 ** 0.5)
+
+    def test_sample_divisor_of_one_value_is_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on std with ddof >= size
+            row = summarize([3.0], ddof=1)
+        assert math.isnan(row.std_dev)
+        assert (row.mean, row.max, row.min, row.range) == (3.0, 3.0, 3.0, 0.0)
 
     def test_seeded_uniform_mean(self):
         rng = np.random.default_rng(7)
