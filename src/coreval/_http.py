@@ -1,8 +1,18 @@
-"""JSON-over-HTTP POST with bounded retries and exponential backoff."""
+"""JSON-over-HTTP POST with bounded retries and exponential backoff.
+
+A plain ``http://`` URL with no proxy configured, and no credentials in the
+URL, is sent over its own ``http.client`` connection, closed after the
+reply; ``requests`` sends every other URL (https, a proxy, credentials), so
+certifi, proxies, ``NO_PROXY`` and ``~/.netrc`` keep working there.
+"""
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
+from urllib.parse import urlsplit
+from urllib.request import getproxies
 
 import requests
 
@@ -14,38 +24,76 @@ class EndpointError(RuntimeError):
     """External service unreachable or returned an invalid response after retries."""
 
 
-def _retry_after_seconds(resp: requests.Response) -> float:
+def _send(url: str, payload: dict, timeout: float):
+    """POST ``payload`` as JSON once; returns (status, headers, body), where
+    ``headers.get`` is case-insensitive and ``body`` is bytes.
+
+    ``timeout`` bounds the connect and each read.  Raises ConnectionError when
+    no complete reply arrives: the connect, the send or a read failed or timed
+    out, or the reply broke off.
+    """
+    parts = urlsplit(url)
+    proxies = getproxies()
+    direct = (parts.scheme == "http" and parts.username is None
+              and "http" not in proxies and "all" not in proxies)
+    if not direct:
+        try:
+            resp = requests.post(url, json=payload, timeout=timeout)
+        except (requests.ConnectionError, requests.Timeout,
+                requests.exceptions.ChunkedEncodingError) as exc:
+            raise ConnectionError(str(exc)) from exc
+        return resp.status_code, resp.headers, resp.content
+    if not parts.hostname:
+        raise ValueError(f"invalid URL {url!r}: no host")
+    # the bytes requests sends for json=payload
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    try:
+        conn.request("POST", path, body, {"Content-Type": "application/json",
+                                          "Connection": "close"})
+        resp = conn.getresponse()
+        return resp.status, resp.headers, resp.read()
+    except (OSError, http.client.HTTPException) as exc:
+        raise ConnectionError(str(exc)) from exc
+    finally:
+        conn.close()
+
+
+def _retry_after_seconds(headers) -> float:
     """The delta-seconds form of a Retry-After header; 0 when absent or another form."""
-    value = resp.headers.get("Retry-After", "").strip()
+    value = headers.get("Retry-After", "").strip()
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 def post_json(url: str, payload: dict, *, timeout: float = 30.0) -> dict:
     """POST ``payload`` as JSON, returning the response body decoded to a dict.
 
-    Connection errors, timeouts, 5xx and 429 responses are retried up to
-    ``ATTEMPTS`` attempts with exponential backoff from ``BACKOFF_S``.
-    After a 429 the wait is at least the response's Retry-After seconds,
-    capped at ``timeout``.
-    Other 4xx responses and bodies that are not a JSON object fail at once.
+    Connection errors, timeouts, replies cut short, 5xx and 429 responses are
+    retried up to ``ATTEMPTS`` attempts with exponential backoff from
+    ``BACKOFF_S``.  After a 429 the wait is at least the response's
+    Retry-After seconds, capped at ``timeout``.
+    3xx and other 4xx responses, and bodies that are not a JSON object, fail
+    at once.
     """
     last_error: EndpointError | None = None
     for attempt in range(ATTEMPTS):
         retry_after = 0.0
         try:
-            resp = requests.post(url, json=payload, timeout=timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            status, headers, body = _send(url, payload, timeout)
+        except ConnectionError as exc:
             last_error = EndpointError(f"POST {url} failed: {exc}")
         else:
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = EndpointError(f"POST {url} failed: HTTP {resp.status_code}")
-                if resp.status_code == 429:
-                    retry_after = min(_retry_after_seconds(resp), timeout)
-            elif resp.status_code >= 400:
-                raise EndpointError(f"POST {url} failed: HTTP {resp.status_code}: {resp.text[:200]}")
+            if status >= 500 or status == 429:
+                last_error = EndpointError(f"POST {url} failed: HTTP {status}")
+                if status == 429:
+                    retry_after = min(_retry_after_seconds(headers), timeout)
+            elif status >= 300:
+                text = body.decode("utf-8", "replace")[:200]
+                raise EndpointError(f"POST {url} failed: HTTP {status}: {text}")
             else:
                 try:
-                    data = resp.json()
+                    data = json.loads(body)
                 except (ValueError, RecursionError) as exc:  # nested too deep
                     raise EndpointError(f"POST {url}: response is not valid JSON: {exc}") from None
                 if isinstance(data, dict):
