@@ -1,14 +1,13 @@
 """Walkthrough: clustering utterance embeddings into modes and scoring entropy.
 
 Builds three synthetic topic clusters, lets the silhouette criterion pick
-the number of modes, and shows how the normalized entropy reacts as the
-distribution over modes concentrates.
+the number of modes, and shows how the normalized entropy of the mode
+labels reacts as the labels concentrate on one mode.
 """
 
 import numpy as np
 
-from coreval import ModeDistribution, cluster_modes, entropy, mode_distribution, \
-    normalized_entropy
+from coreval import cluster_modes, mode_entropy
 
 rng = np.random.default_rng(42)
 centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
@@ -19,17 +18,16 @@ assignment = cluster_modes(points, k_max=10, seed=42)
 print(f"selected k = {assignment.k} modes for {points.shape[0]} points "
       f"(inertia {assignment.inertia:.4f})")
 
-dist = mode_distribution(assignment)
-print(f"mode distribution: {[round(p, 3) for p in dist.probs]}")
-print(f"entropy: {entropy(dist):.4f} nats")
-print(f"normalized entropy (k_max=10): {normalized_entropy(dist, 10):.4f}\n")
+freqs = np.bincount(assignment.labels) / assignment.labels.size
+print(f"mode frequencies: {freqs.round(3).tolist()}")
+print(f"normalized entropy (k_max=10): {mode_entropy(assignment.labels, 10):.4f}\n")
 
-print("entropy vs concentration (k_max = 4):")
-for probs in [(0.25, 0.25, 0.25, 0.25), (0.5, 0.25, 0.125, 0.125),
-              (0.7, 0.1, 0.1, 0.1), (0.97, 0.01, 0.01, 0.01)]:
-    h = normalized_entropy(ModeDistribution(probs=probs), 4)
+print("entropy vs concentration (k_max = 4), from each mode's label count:")
+for counts in [(1, 1, 1, 1), (4, 2, 1, 1), (7, 1, 1, 1), (97, 1, 1, 1), (100,)]:
+    labels = np.repeat(np.arange(len(counts)), counts)
+    h = mode_entropy(labels, 4)
     bar = "#" * int(h * 40)
-    print(f"  {probs}  ->  {h:.3f} {bar}")
+    print(f"  {str(counts):<15} ->  {h:.3f} {bar}")
 
-print("\nA distribution collapsing onto one mode drives the first factor of the")
+print("\nLabels collapsing onto one mode drive the first factor of the")
 print("robustness score toward zero.")

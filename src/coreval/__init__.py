@@ -32,19 +32,13 @@ from .embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from .modes import (
-    ModeAssignment,
-    ModeDistribution,
-    cluster_modes,
-    entropy,
-    mode_distribution,
-    normalized_entropy,
-)
+from .modes import ModeAssignment, cluster_modes
 from .metric import (
     CoreBreakdown,
     CoreConfig,
     compute_core,
     core_per_dialog,
+    mode_entropy,
     repeated_fraction,
 )
 from .behavior import (
@@ -80,7 +74,6 @@ __all__ = [
     "GenerationConfig",
     "GenerationResult",
     "ModeAssignment",
-    "ModeDistribution",
     "SummaryRow",
     "TokenStats",
     "UTestResult",
@@ -93,7 +86,6 @@ __all__ = [
     "core_per_dialog",
     "cue_rate",
     "dialog_stagnation",
-    "entropy",
     "extract_ngrams",
     "fetch_embeddings",
     "fit_heaps",
@@ -103,8 +95,7 @@ __all__ = [
     "load_embeddings",
     "load_sentiment_lexicon",
     "mann_whitney_u",
-    "mode_distribution",
-    "normalized_entropy",
+    "mode_entropy",
     "parse_corpus",
     "rank_frequency",
     "repeated_fraction",

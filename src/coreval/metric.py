@@ -1,11 +1,12 @@
 """The conversational robustness score (CORE).
 
-CORE is the product of three factors in [0, 1]: normalized mode entropy,
-a repetition penalty (1 - repeated n-gram fraction)^alpha, and a semantic
-stagnation penalty clamp(1 - mean consecutive cosine, 0, 1)^beta.  The
-alpha/beta exponents default to the corpus's own fitted rank-frequency and
-vocabulary-growth exponents, so the score is calibrated against the
-corpus's typical statistical profile.
+CORE is the product of three factors in [0, 1], one function each:
+``mode_entropy``, the Shannon entropy of the utterances' mode frequencies
+divided by ln(k_max); ``repetition_penalty``, (1 - repeated n-gram
+fraction)^alpha; and ``stagnation_penalty``, clamp(1 - mean consecutive
+cosine, 0, 1)^beta.  The alpha/beta exponents default to the corpus's own
+fitted rank-frequency and vocabulary-growth exponents, so the score is
+calibrated against the corpus's typical statistical profile.
 
 ``compute_core`` (one corpus) and ``core_per_dialog`` (each dialog under
 the corpus's modes and exponents) differ only in how they gather the
@@ -28,8 +29,7 @@ from .corpus import Corpus, CorpusError, Dialog, extract_ngrams, ngram_counts, r
     vocab_growth
 from .embeddings import EmbeddingMatrix, dialog_stagnation
 from .lawfit import FitError, fit_heaps, fit_zipf
-from .modes import ModeAssignment, ModeDistribution, cluster_modes, mode_distribution, \
-    normalized_entropy
+from .modes import ModeAssignment, cluster_modes
 
 # Diagnostic flags carried on a breakdown.  The first three are the primary
 # ones; empty_ngrams / no_stagnation_pairs mark inputs too short to measure
@@ -109,6 +109,19 @@ def repeated_fraction(ngrams: Counter, counting: str = "occurrences") -> float:
     raise ValueError(f"unknown counting mode {counting!r}")
 
 
+def mode_entropy(labels: np.ndarray, k_max: int) -> float:
+    """Shannon entropy of the label frequencies over ln(k_max), clamped to [0, 1].
+
+    A mode id that no label takes adds 0 (0 ln 0 = 0), so with the fixed
+    ln(k_max) normalizer it cannot change the value.
+    """
+    if k_max < 2:
+        raise ValueError(f"k_max must be >= 2, got {k_max}")
+    counts = np.bincount(labels)
+    probs = (counts[counts > 0] / counts.sum()).tolist()
+    return min(1.0, max(0.0, -sum(p * math.log(p) for p in probs) / math.log(k_max)))
+
+
 def repetition_penalty(ratio: float, alpha: float) -> float:
     return (1.0 - ratio) ** alpha
 
@@ -117,10 +130,13 @@ def stagnation_penalty(raw_stagnation: float, beta: float) -> tuple[float, bool]
     """(clamped (1 - raw)^beta, whether clamping was material).
 
     A negative mean cosine makes the base exceed 1, which would push the
-    score above its [0, 1] range; the base is clamped and flagged.
+    score above its [0, 1] range; the base is clamped and flagged.  A base
+    within 1e-12 of 0 is rounding, not signal (the cosine of a unit vector
+    with itself can come out one ulp below 1, and beta < 1 would lift that
+    ulp to about 1e-6), so it counts as 0, unflagged.
     """
     base = 1.0 - raw_stagnation
-    clamped = min(1.0, max(0.0, base))
+    clamped = min(1.0, base) if base > 1e-12 else 0.0
     was_clamped = abs(clamped - base) > 1e-12
     return clamped ** beta, was_clamped
 
@@ -208,8 +224,7 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
     n-gram counts summed over the corpus; stagnation is the mean over
     dialogs with at least two utterances.  A corpus with no such dialog gets
     stagnation_term 0 and the no_stagnation_pairs flag.  Raises CorpusError
-    if the corpus has no tokens, and ValueError if the assignment has an
-    empty cluster id.
+    if the corpus has no tokens.
     """
     _check_alignment(corpus, matrix)
     if not any(True for _ in corpus.iter_tokens()):
@@ -221,7 +236,7 @@ def compute_core(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
         assignment = cluster_modes(matrix, config.k_max, config.cluster_seed)
     if assignment.k == 1:
         flags.add(FLAG_DEGENERATE_MODES)
-    entropy_term = normalized_entropy(mode_distribution(assignment), config.k_max)
+    entropy_term = mode_entropy(assignment.labels, config.k_max)
 
     stags = [dialog_stagnation(matrix.rows[sl]) for dialog, sl in _dialog_row_slices(corpus)
              if len(dialog.utterances) >= 2]
@@ -246,11 +261,9 @@ def core_per_dialog(corpus: Corpus, matrix: EmbeddingMatrix, config: CoreConfig,
 
     results = []
     for dialog, sl in _dialog_row_slices(corpus):
-        counts = np.bincount(corpus_assignment.labels[sl])
-        counts = counts[counts > 0]
-        dist = ModeDistribution(probs=tuple(float(p) for p in counts / counts.sum()))
+        entropy_term = mode_entropy(corpus_assignment.labels[sl], config.k_max)
         ngrams = ngram_counts(dialog.tokens(), config.ngram_n)
         raw = dialog_stagnation(matrix.rows[sl]) if len(dialog.utterances) >= 2 else None
-        results.append((dialog.id, _breakdown(normalized_entropy(dist, config.k_max), ngrams,
-                                              raw, alpha, beta, config, flags)))
+        results.append((dialog.id, _breakdown(entropy_term, ngrams, raw, alpha, beta, config,
+                                              flags)))
     return results

@@ -1,4 +1,4 @@
-"""Conversational-mode clustering and mode-distribution entropy.
+"""Conversational-mode clustering.
 
 Utterance embeddings are grouped with k-means (k-means++ initialization,
 Lloyd iterations) and the number of modes is chosen by mean silhouette
@@ -66,18 +66,6 @@ class ModeAssignment:
     labels: np.ndarray  # one cluster id in [0, k) per utterance, corpus order
     centroids: np.ndarray
     inertia: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ModeDistribution:
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.probs):
-            raise ValueError("mode probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError("mode probabilities must sum to 1")
 
 
 def cdist(points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
@@ -306,7 +294,7 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
             break
     if len(distinct) == 1:
         return ModeAssignment(k=1, labels=np.zeros(n, dtype=np.int64),
-                              centroids=points[:1].copy(), inertia=0.0, seed=seed)
+                              centroids=points[:1].copy(), inertia=0.0)
 
     frame = _frame(points)
     ks = range(2, len(distinct) + 1)
@@ -315,26 +303,5 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     scores = _mean_silhouettes(frame, [(labels, k) for k, (labels, _, _) in zip(ks, runs)])
     best = max(range(len(ks)), key=scores.__getitem__)  # ties go to the smaller K
     labels, centroids, inertia = runs[best]
-    return ModeAssignment(k=ks[best], labels=labels, centroids=centroids, inertia=inertia,
-                          seed=seed)
+    return ModeAssignment(k=ks[best], labels=labels, centroids=centroids, inertia=inertia)
 
-
-def mode_distribution(assignment: ModeAssignment) -> ModeDistribution:
-    """Empirical frequencies of each mode id over the utterances."""
-    counts = np.bincount(assignment.labels, minlength=assignment.k)
-    if (counts == 0).any():
-        raise ValueError("assignment has an empty cluster id")
-    probs = counts / counts.sum()
-    return ModeDistribution(probs=tuple(float(p) for p in probs))
-
-
-def entropy(dist: ModeDistribution) -> float:
-    """Shannon entropy -sum(p ln p) in nats; 0 for a point mass."""
-    return float(-sum(p * math.log(p) for p in dist.probs))
-
-
-def normalized_entropy(dist: ModeDistribution, k_max: int) -> float:
-    """Entropy divided by ln(k_max), clamped to [0, 1]."""
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
-    return min(1.0, max(0.0, entropy(dist) / math.log(k_max)))

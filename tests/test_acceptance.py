@@ -12,8 +12,8 @@ import numpy as np
 from coreval.cli import EXIT_OK, main
 from coreval.corpus import TokenStats, extract_ngrams, parse_corpus
 from coreval.lawfit import fit_heaps, fit_zipf, synth_zipf_stream
-from coreval.metric import CoreConfig, compute_core, repeated_fraction
-from coreval.modes import ModeDistribution, cluster_modes, entropy, normalized_entropy
+from coreval.metric import CoreConfig, compute_core, mode_entropy, repeated_fraction
+from coreval.modes import cluster_modes
 from coreval.runner import GenerationConfig, generate_dialogs
 from coreval.stats import mann_whitney_u
 from conftest import (
@@ -201,10 +201,9 @@ def test_10_end_to_end_golden(tmp_path, monkeypatch):
 
 def test_11_entropy_checks():
     for k_max in (2, 4, 7, 10):
-        uniform = ModeDistribution(probs=(1.0 / k_max,) * k_max)
-        assert abs(normalized_entropy(uniform, k_max) - 1.0) <= 1e-12
-    assert normalized_entropy(ModeDistribution(probs=(1.0,)), 10) == 0.0
-    h = entropy(ModeDistribution(probs=(0.5, 0.25, 0.25)))
+        assert abs(mode_entropy(np.arange(k_max), k_max) - 1.0) <= 1e-12
+    assert mode_entropy(np.zeros(3, dtype=np.int64), 10) == 0.0
+    h = mode_entropy(np.array([0, 0, 1, 2]), 10) * log(10)  # in nats: unclamped at k_max 10
     assert abs(h - 1.5 * log(2)) <= 1e-12
     ok("11 entropy checks", "uniform=1, point mass=0, (.5,.25,.25)=1.5 ln 2")
 

@@ -64,6 +64,12 @@ class TestFactorArithmetic:
         assert term == 1.0
         assert clamped
 
+    def test_mean_cosine_within_rounding_of_one_is_full_stagnation(self):
+        # the cosine of a unit vector with itself can round either side of 1
+        for raw in (1 - 2 ** -52, 1.0, 1 + 2 ** -52):
+            assert stagnation_penalty(raw, 0.37) == (0.0, False)
+        assert stagnation_penalty(1 - 1e-9, 0.37)[0] > 0.0
+
 
 def diverse_corpus_and_matrix(k_max=4):
     """Uniform modes over k_max separated clusters, all-distinct trigrams,
@@ -158,14 +164,22 @@ class TestComputeCore:
         with pytest.raises(CorpusError, match="zero tokens"):
             compute_core(corpus, matrix_for(corpus, rows), CoreConfig())
 
-    def test_empty_cluster_id_raises(self):
+    def test_unused_mode_id_adds_nothing(self):
         corpus = make_corpus([("d", "neutral", ["a b", "c d", "e f"])])
         matrix = matrix_for(corpus, np.eye(3))
-        # id 1 of k = 3 labels no utterance
-        assignment = ModeAssignment(k=3, labels=np.array([0, 2, 2]), centroids=np.eye(3),
-                                    inertia=0.0, seed=0)
-        with pytest.raises(ValueError, match="empty cluster id"):
-            compute_core(corpus, matrix, CoreConfig(), assignment=assignment)
+        config = CoreConfig()
+        # id 1 of k = 3 labels no utterance; 0 ln 0 = 0 and the normalizer is
+        # ln k_max, so the scores are those of the same split into k = 2 ids
+        gap = ModeAssignment(k=3, labels=np.array([0, 2, 2]), centroids=np.eye(3), inertia=0.0)
+        dense = ModeAssignment(k=2, labels=np.array([0, 1, 1]), centroids=np.eye(3)[[0, 2]],
+                               inertia=0.0)
+        scores = []
+        for assignment in (gap, dense):
+            corpus_b = compute_core(corpus, matrix, config, assignment=assignment)
+            ((_, dialog_b),) = core_per_dialog(corpus, matrix, config, assignment)
+            scores.append([(b.entropy_term, b.core) for b in (corpus_b, dialog_b)])
+        assert scores[0] == scores[1]
+        assert scores[0][0][0] > 0.0
 
     def test_misaligned_matrix_raises(self):
         corpus = make_corpus([("d", "neutral", ["a b", "c d"])])

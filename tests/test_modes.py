@@ -11,10 +11,8 @@ from scipy.spatial.distance import cdist
 from coreval import modes
 from coreval.corpus import Corpus, parse_corpus
 from coreval.embeddings import load_embeddings
-from coreval.modes import (
-    ModeAssignment, ModeDistribution, cluster_modes, entropy, mode_distribution,
-    normalized_entropy,
-)
+from coreval.metric import mode_entropy
+from coreval.modes import cluster_modes
 from conftest import DATA_DIR, adjusted_rand_index
 
 # The oracle Lloyds below also stop once no centroid moves by this much, an
@@ -347,13 +345,6 @@ def blob_sets():
     return sets
 
 
-def assignment_from_labels(labels) -> ModeAssignment:
-    labels = np.asarray(labels, dtype=np.int64)
-    k = int(labels.max()) + 1
-    return ModeAssignment(k=k, labels=labels, centroids=np.zeros((k, 2)),
-                          inertia=0.0, seed=0)
-
-
 class TestClusterModes:
     def test_three_blobs_recovered(self):
         rng = np.random.default_rng(0)
@@ -434,70 +425,67 @@ class TestClusterModes:
             cluster_modes(np.ones((1, 2)), k_max=3)
 
 
-class TestModeDistribution:
+def labels_from_counts(counts) -> np.ndarray:
+    """Labels in which mode id i occurs counts[i] times."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+class TestModeEntropy:
     def test_half_half(self):
-        dist = mode_distribution(assignment_from_labels([0, 0, 1, 1]))
-        assert dist.probs == (0.5, 0.5)
+        assert mode_entropy(np.array([0, 0, 1, 1]), 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        dist = mode_distribution(assignment_from_labels([0, 0, 0]))
-        assert dist.probs == (1.0,)
+        assert mode_entropy(np.array([0, 0, 0]), 10) == 0.0
+        assert mode_entropy(np.array([0]), 2) == 0.0
 
-    def test_sums_to_one(self):
+    def test_random_labels_match_frequency_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             k = int(rng.integers(1, 6))
             labels = np.concatenate([np.arange(k), rng.integers(0, k, 30)])
-            dist = mode_distribution(assignment_from_labels(labels))
-            assert abs(sum(dist.probs) - 1.0) < 1e-12
+            probs = np.bincount(labels) / labels.size
+            expected = -sum(p * math.log(p) for p in probs) / math.log(10)
+            assert mode_entropy(labels, 10) == pytest.approx(expected, abs=1e-12)
 
-    def test_positive_probs_enforced(self):
-        with pytest.raises(ValueError):
-            ModeDistribution(probs=(0.5, 0.5, 0.0))
+    def test_unused_id_adds_zero(self):
+        # 0 ln 0 = 0, and the normalizer is ln k_max whatever ids the labels use
+        assert mode_entropy(np.array([0, 0, 2, 2]), 4) == mode_entropy(np.array([0, 0, 1, 1]), 4)
+        assert mode_entropy(np.array([3, 3, 3]), 4) == 0.0
 
-
-class TestEntropy:
-    def test_point_mass_zero(self):
-        assert entropy(ModeDistribution(probs=(1.0,))) == 0.0
-
+    # with k_max = 10 no value below is clamped, so value * ln 10 is the
+    # entropy in nats
     def test_uniform_four(self):
-        dist = ModeDistribution(probs=(0.25,) * 4)
-        assert entropy(dist) == pytest.approx(math.log(4), abs=1e-12)
+        nats = mode_entropy(np.arange(4), 10) * math.log(10)
+        assert nats == pytest.approx(math.log(4), abs=1e-12)
 
     def test_half_quarter_quarter(self):
-        dist = ModeDistribution(probs=(0.5, 0.25, 0.25))
-        assert entropy(dist) == pytest.approx(1.5 * math.log(2), abs=1e-12)
+        nats = mode_entropy(np.array([0, 0, 1, 2]), 10) * math.log(10)
+        assert nats == pytest.approx(1.5 * math.log(2), abs=1e-12)
 
     def test_permutation_invariant(self):
-        a = ModeDistribution(probs=(0.6, 0.3, 0.1))
-        b = ModeDistribution(probs=(0.1, 0.6, 0.3))
-        assert entropy(a) == pytest.approx(entropy(b), abs=1e-12)
+        a = labels_from_counts([6, 3, 1])
+        b = np.random.default_rng(8).permutation(labels_from_counts([1, 6, 3]))
+        assert mode_entropy(a, 10) == pytest.approx(mode_entropy(b, 10), abs=1e-12)
 
-
-class TestNormalizedEntropy:
     def test_uniform_over_kmax(self):
-        dist = ModeDistribution(probs=(0.2,) * 5)
-        assert normalized_entropy(dist, 5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_point_mass(self):
-        assert normalized_entropy(ModeDistribution(probs=(1.0,)), 10) == 0.0
+        assert mode_entropy(np.arange(5), 5) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_split_kmax_four(self):
-        dist = ModeDistribution(probs=(0.5, 0.5))
-        assert normalized_entropy(dist, 4) == pytest.approx(0.5, abs=1e-12)
+        assert mode_entropy(np.array([0, 1]), 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_clamped_to_unit_interval(self):
+        # more ids in use than k_max puts the entropy above ln k_max
+        assert mode_entropy(np.arange(8), 4) == 1.0
         rng = np.random.default_rng(5)
         for _ in range(30):
             k = int(rng.integers(2, 8))
-            raw = rng.random(k) + 0.01
-            dist = ModeDistribution(probs=tuple(raw / raw.sum()))
-            value = normalized_entropy(dist, int(rng.integers(2, 11)))
+            labels = labels_from_counts(rng.integers(1, 20, k))
+            value = mode_entropy(labels, int(rng.integers(2, 11)))
             assert 0.0 <= value <= 1.0
 
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
-            normalized_entropy(ModeDistribution(probs=(1.0,)), 1)
+            mode_entropy(np.array([0]), 1)
 
 
 class TestClusterQuality:
@@ -509,9 +497,9 @@ class TestClusterQuality:
         a = cluster_modes(points, k_max=8, seed=42)
         b = cluster_modes(doubled, k_max=8, seed=42)
         assert a.k == b.k
-        da = mode_distribution(a)
-        db = mode_distribution(b)
-        assert sorted(da.probs) == pytest.approx(sorted(db.probs), abs=1e-12)
+        da = np.sort(np.bincount(a.labels)) / a.labels.size
+        db = np.sort(np.bincount(b.labels)) / b.labels.size
+        assert da.tolist() == pytest.approx(db.tolist(), abs=1e-12)
 
     def test_silhouette_prefers_true_k(self):
         rng = np.random.default_rng(7)

@@ -4,7 +4,10 @@ The goldens pin one fixture's bytes; these relations hold for any input:
 analyzing one condition alone gives that condition's sample, exact rescaling
 of the embeddings and reordering of the input lines change no output, the
 thread count changes no output, neither do the BLAS kernel and its thread
-count, and a planted Zipf effect is found in the planted direction.
+count, and a planted Zipf effect is found in the planted direction.  Two
+CORE factors move the way they are documented to: a condition collapsed
+onto one tight blob loses mode entropy and score, and a dialog that repeats
+its first turn's vector stagnates fully while orthogonal turns do not.
 """
 
 import csv
@@ -134,6 +137,70 @@ def test_planted_zipf_effect_is_found_in_its_direction(tmp_path):
         assert float(row["u"]) == (64 if PLANTED_ALPHA[a] > PLANTED_ALPHA[b] else 0)
         assert float(row["p_value"]) == pytest.approx(2 / comb(16, 8), rel=1e-5)
         assert row["method"] == "exact"
+
+
+# the fixture condition whose embeddings collapse, and the spread of its
+# blob around a unit center: sized so that every seed of 0-19 and every
+# condition keeps both relations, by at least 0.15 in the condition's core
+COLLAPSED = "cooperative"
+BLOB_SIGMA = 0.003
+
+
+def condition_scores(out: Path, condition: str) -> tuple[float, float]:
+    """(mean per-dialog entropy_term, condition-sample core) of one condition."""
+    entropy = [float(row["entropy_term"]) for row in read_csv(out / "per_dialog.csv")
+               if row["condition"] == condition]
+    (core,) = [float(row["core"]) for row in read_csv(out / "condition_samples.csv")
+               if row["condition"] == condition]
+    return float(np.mean(entropy)), core
+
+
+def test_mode_collapse_lowers_entropy_and_core(tmp_path):
+    condition_of = {json.loads(line)["id"]: json.loads(line)["condition"]
+                    for line in FIXTURE_CORPUS.read_text().splitlines()}
+    records = [json.loads(line) for line in FIXTURE_EMBEDDINGS.read_text().splitlines()]
+    rng = np.random.default_rng(0)
+    center = rng.normal(size=len(records[0]["vector"]))
+    center /= np.linalg.norm(center)
+    blob = []
+    for record in records:
+        if condition_of[record["dialog_id"]] == COLLAPSED:
+            record["vector"] = (center + BLOB_SIGMA * rng.normal(size=center.size)).tolist()
+            blob.append(tuple(record["vector"]))
+    assert len(set(blob)) == len(blob) > 0  # distinct rows, not one repeated point
+    collapsed = tmp_path / "collapsed.jsonl"
+    collapsed.write_text("".join(json.dumps(record) + "\n" for record in records))
+    analyze(tmp_path / "plain", FIXTURE_CORPUS, "--embeddings", FIXTURE_EMBEDDINGS)
+    analyze(tmp_path / "collapsed", FIXTURE_CORPUS, "--embeddings", collapsed)
+    plain_entropy, plain_core = condition_scores(tmp_path / "plain", COLLAPSED)
+    entropy, core = condition_scores(tmp_path / "collapsed", COLLAPSED)
+    assert entropy < plain_entropy
+    assert core < plain_core
+
+
+def test_repeated_turn_vector_stagnates_and_orthogonal_turns_do_not(tmp_path):
+    # every dialog at once: a dialog's stagnation reads its own rows only
+    records = [json.loads(line) for line in FIXTURE_EMBEDDINGS.read_text().splitlines()]
+    first = {r["dialog_id"]: r["vector"] for r in records if r["turn_index"] == 0}
+    eye = np.eye(len(records[0]["vector"]))
+    assert max(r["turn_index"] for r in records) < len(eye)
+    for name, vector_of, raw, term in (
+            ("repeated", lambda r: first[r["dialog_id"]], 1.0, 0.0),
+            ("orthogonal", lambda r: eye[r["turn_index"]].tolist(), 0.0, 1.0)):
+        embeddings = tmp_path / f"{name}.jsonl"
+        embeddings.write_text("".join(json.dumps({**r, "vector": vector_of(r)}) + "\n"
+                                      for r in records))
+        out = tmp_path / name
+        analyze(out, FIXTURE_CORPUS, "--embeddings", embeddings)
+        report = json.loads((out / "report.json").read_text())["corpora"][0]["per_dialog"]
+        rows = read_csv(out / "per_dialog.csv")
+        assert len(report) == len(rows) == len(first)
+        for entry, row in zip(report, rows):
+            assert entry["dialog_id"] == row["dialog_id"]
+            assert (entry["raw_stagnation"], entry["stagnation_term"]) == (raw, term), entry
+            assert float(row["stagnation_term"]) == term, row
+            if name == "repeated":
+                assert entry["core"] == float(row["core"]) == 0.0, row
 
 
 # OpenBLAS setups that must give the goldens' bytes, each with the CPU flags
