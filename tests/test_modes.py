@@ -436,7 +436,15 @@ class TestModeEntropy:
 
     def test_point_mass(self):
         assert mode_entropy(np.array([0, 0, 0]), 10) == 0.0
-        assert mode_entropy(np.array([0]), 2) == 0.0
+
+    def test_point_mass_zero(self):
+        nats = mode_entropy(np.array([0]), 10) * math.log(10)
+        assert nats == 0.0
+
+    def test_point_mass_any_kmax(self):
+        for k_max in (2, 4, 10):
+            assert mode_entropy(np.array([0]), k_max) == 0.0
+            assert mode_entropy(np.array([1, 1]), k_max) == 0.0
 
     def test_random_labels_match_frequency_oracle(self):
         rng = np.random.default_rng(4)
