@@ -4,12 +4,16 @@ A plain ``http://`` URL with no proxy configured, and no credentials in the
 URL, is sent over its own ``http.client`` connection, closed after the
 reply; ``requests`` sends every other URL (https, a proxy, credentials), so
 certifi, proxies, ``NO_PROXY`` and ``~/.netrc`` keep working there.
+The proxy variables are read once per process, at its first request, so
+setting or clearing one later does not move a URL between the two paths.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
+import threading
 import time
 from urllib.parse import urlsplit
 from urllib.request import getproxies
@@ -24,6 +28,17 @@ class EndpointError(RuntimeError):
     """External service unreachable or returned an invalid response after retries."""
 
 
+# held around the first read, so threads whose first requests overlap read once
+_PROXIES_LOCK = threading.Lock()
+
+
+@functools.cache
+def _proxies() -> dict[str, str]:
+    """The proxy environment, read at the process's first request: each
+    ``getproxies`` call decodes every environment variable."""
+    return getproxies()
+
+
 def _send(url: str, payload: dict, timeout: float):
     """POST ``payload`` as JSON once; returns (status, headers, body), where
     ``headers.get`` is case-insensitive and ``body`` is bytes.
@@ -33,7 +48,8 @@ def _send(url: str, payload: dict, timeout: float):
     out, or the reply broke off.
     """
     parts = urlsplit(url)
-    proxies = getproxies()
+    with _PROXIES_LOCK:
+        proxies = _proxies()
     direct = (parts.scheme == "http" and parts.username is None
               and "http" not in proxies and "all" not in proxies)
     if not direct:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from math import comb
@@ -23,6 +24,19 @@ def short_backoff(monkeypatch):
     """Retries wait 0.01 s, not the policy's 0.5 s; tests of the policy's
     waits set ``_http.BACKOFF_S`` themselves."""
     monkeypatch.setattr(_http, "BACKOFF_S", 0.01)
+
+
+@pytest.fixture(autouse=True)
+def no_proxy(monkeypatch):
+    """No proxy in the environment, whatever the machine running the tests
+    sets, and no proxy read cached from another test: ``_http`` reads the
+    environment once per process."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    _http._proxies.cache_clear()
+    yield
+    _http._proxies.cache_clear()
 
 
 def make_dialog(dialog_id: str, condition: str, texts: list[str],

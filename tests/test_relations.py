@@ -178,6 +178,37 @@ def test_mode_collapse_lowers_entropy_and_core(tmp_path):
     assert core < plain_core
 
 
+def test_repeated_turns_raise_repetition_and_lower_its_term(tmp_path):
+    # every dialog at once: a dialog's n-grams are its own; the exponents are
+    # held, since a fit to the longer corpus would move them.  Said three
+    # times, every n-gram repeats, the ones across a seam between copies too.
+    dialogs = [json.loads(line) for line in FIXTURE_CORPUS.read_text().splitlines()]
+    records = [json.loads(line) for line in FIXTURE_EMBEDDINGS.read_text().splitlines()]
+    turns = {d["id"]: len(d["turns"]) for d in dialogs}
+    scores = []
+    for copies in (1, 2, 3):
+        corpus, embeddings = tmp_path / f"corpus{copies}.jsonl", tmp_path / f"emb{copies}.jsonl"
+        # the agents keep alternating when a dialog has an odd number of turns
+        corpus.write_text("".join(json.dumps({**d, "turns": [
+            {"agent": "AB"[i % 2], "text": turn["text"]}
+            for i, turn in enumerate(d["turns"] * copies)]}) + "\n" for d in dialogs))
+        # each repeated turn has its original's vector
+        embeddings.write_text("".join(
+            json.dumps({**r, "turn_index": r["turn_index"] + c * turns[r["dialog_id"]]}) + "\n"
+            for c in range(copies) for r in records))
+        out = tmp_path / f"out{copies}"
+        analyze(out, corpus, "--embeddings", embeddings, "--alpha", 1.0, "--beta", 1.0)
+        report = json.loads((out / "report.json").read_text())["corpora"][0]["per_dialog"]
+        scores.append({entry["dialog_id"]: (entry["repetition_ratio"], entry["repetition_term"])
+                       for entry in report})
+    once, twice, thrice = scores
+    assert once.keys() == twice.keys() == thrice.keys() == turns.keys()
+    for dialog_id, (ratio, term) in once.items():
+        assert twice[dialog_id][0] > ratio and twice[dialog_id][1] < term, \
+            (dialog_id, once[dialog_id], twice[dialog_id])
+        assert thrice[dialog_id] == (1.0, 0.0), dialog_id
+
+
 def test_repeated_turn_vector_stagnates_and_orthogonal_turns_do_not(tmp_path):
     # every dialog at once: a dialog's stagnation reads its own rows only
     records = [json.loads(line) for line in FIXTURE_EMBEDDINGS.read_text().splitlines()]
