@@ -4,11 +4,11 @@ Utterance embeddings are grouped with k-means (k-means++ initialization,
 Lloyd iterations) and the number of modes is chosen by mean silhouette
 score over K = 2..k_max.  The module needs numpy alone.
 
-Squared distances are taken in Gram form |p|^2 + |c|^2 - 2 p.c, BLAS
-products of rows centered on their mean; they differ from the direct
-difference form by a few 1e-15 of the largest squared distance (the tests
-bound it at 1e-13).  No n x n matrix is built: one helper, ``_sq_dists``,
-gives the distances from any rows to every row as one matrix product.
+Every squared distance, in seeding, Lloyd and the silhouette pass, comes
+from one kernel, ``cdist``: the Gram form |p|^2 + |c|^2 - 2 p.c of rows
+centered on their mean, so |p|^2 does not swamp |p - c|^2 far from the
+origin.  It is within a few 1e-15 of the largest squared distance of the
+difference form (the tests bound it at 1e-13); no n x n matrix is built.
 Every k-means++ seed is a data point, and every K is seeded in lockstep,
 one block per draw step: step j draws the next seed of every K that still
 needs one, then one block of those seeds' rows updates their distances.
@@ -23,12 +23,12 @@ time and stops at k_max.
 
 Every K's Lloyd run reads one frame built once per call: the rows, their
 column mean, the centered rows and their squared norms and the near-tie
-tolerance.  Lloyd's point-to-centroid distances are in the same Gram form
-(one n x K product per iteration) and their argmin sets the labels; a point
-whose two nearest centroids are within the Gram form's rounding of each
-other is assigned from the exact differences instead.  The inertia and each
-point's distance to its own centroid are summed from the exact differences,
-taken over blocks of ``_BLOCK_ROWS`` rows, so the inertia guard stays exact.
+tolerance.  Lloyd's point-to-centroid distances are one n x K ``cdist``
+per iteration, and their argmin sets the labels; a point whose two nearest
+centroids are within the Gram form's rounding of each other is assigned
+from the exact differences instead.  The inertia and each point's distance
+to its own centroid are summed from the exact differences, taken over
+blocks of ``_BLOCK_ROWS`` rows, so the inertia guard stays exact.
 Cluster sizes come from one ``bincount``, and each centroid mean from one
 gather of its cluster's rows.  So besides the centered rows Lloyd holds one
 ``_BLOCK_ROWS`` x d block of differences and one cluster's gathered rows at
@@ -68,20 +68,21 @@ class ModeAssignment:
     inertia: float
 
 
-def cdist(points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+def cdist(points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray,
+          center_sq_norms: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from n centered points to K centered centers.
 
-    ``sq_norms`` holds the points' squared norms.  Entries are clamped at 0
-    because rounding can make one slightly negative.  The name and the order
-    of the first two arguments (n points, then K centers) follow
-    ``scipy.spatial.distance.cdist``, which this replaced, because the
+    ``sq_norms`` and ``center_sq_norms`` hold their squared norms.  Entries
+    are clamped at 0 because rounding can make one slightly negative.  The
+    name and the order of the first two arguments (n points, then K centers)
+    follow ``scipy.spatial.distance.cdist``, which this replaced, because the
     benchmark's tracer wraps ``coreval.modes.cdist`` and counts
     ``len(points) * len(centers)`` entries per call.
     """
     d2 = points @ centers.T
     d2 *= -2.0
     d2 += sq_norms[:, None]
-    d2 += np.einsum("ij,ij->i", centers, centers)
+    d2 += center_sq_norms
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -111,20 +112,9 @@ def _frame(points: np.ndarray) -> _Frame:
 
 
 def _sq_dists(frame: _Frame, idx: list[int] | np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from rows ``idx`` to every row, in Gram
-    form: one matrix product for any index array.
-
-    Centering first leaves the distances unchanged and keeps the squared
-    norms small far from the origin, where |p|^2 would swamp |p_i - p_j|^2.
-    Rounding can make an entry slightly negative, so entries are clamped at
-    0, and each row's distance to itself is set to exactly 0.
-    """
-    centered, sq_norms = frame.centered, frame.sq_norms
-    block = centered[idx] @ centered.T
-    block *= -2.0
-    block += sq_norms[idx, None]
-    block += sq_norms
-    np.maximum(block, 0.0, out=block)
+    """Squared Euclidean distances from rows ``idx`` to every row, each row's
+    to itself exactly 0, as seeding's draws and the silhouette sums need."""
+    block = cdist(frame.centered[idx], frame.centered, frame.sq_norms[idx], frame.sq_norms)
     block[np.arange(len(idx)), idx] = 0.0
     return block
 
@@ -189,7 +179,8 @@ def _lloyd(frame: _Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     n, k = points.shape[0], centers.shape[0]
 
     def assign(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d2 = cdist(centered, centers - mean, sq_norms)
+        shifted = centers - mean
+        d2 = cdist(centered, shifted, sq_norms, np.einsum("ij,ij->i", shifted, shifted))
         labels = np.argmin(d2, axis=1)
         ties = d2 <= d2[rows, labels][:, None] + tol
         if np.count_nonzero(ties) > n:  # some point has a second center within tol
@@ -277,11 +268,19 @@ def cluster_modes(matrix: EmbeddingMatrix | np.ndarray, k_max: int, seed: int = 
     Runs k-means for each K in 2..min(k_max, distinct-row count) and keeps
     the K with the highest mean silhouette (ties go to the smaller K).
     A matrix whose rows are all identical yields the degenerate single-mode
-    assignment k=1.
+    assignment k=1.  A plain array must be 2-D, with at least one column,
+    and finite, or ValueError is raised.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    points = matrix.rows if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix, np.float64)
+    if isinstance(matrix, EmbeddingMatrix):  # checked when it was built
+        points = matrix.rows
+    else:
+        points = np.asarray(matrix, np.float64)
+        if points.ndim != 2 or points.shape[1] < 1:
+            raise ValueError(f"points must be 2-D with >= 1 column, got shape {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points hold a non-finite value")
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"clustering needs >= 2 utterances, got {n}")

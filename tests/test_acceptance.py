@@ -1,11 +1,19 @@
 """Acceptance suite: one test per release criterion, each printing PASS on success.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+Regenerate the nine fixture goldens that criterion 10 compares against, from
+the repo root, with
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
+import os
+import shutil
+import tempfile
 import time
 from collections import Counter
 from math import log
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +32,23 @@ from test_metric import diverse_corpus_and_matrix
 from test_stats import exact_p_by_enumeration
 
 GOLDEN_DIR = DATA_DIR / "golden"
+GOLDEN_FILES = ("report.json", "per_dialog.csv", "condition_samples.csv", "summary.csv",
+                "compare.csv", "temporal.csv", "fit.csv", "rankfreq_fixture_corpus.csv",
+                "behavior.csv")
+
+
+def golden_commands(out: Path) -> list[list[str]]:
+    """The commands that write the fixture goldens into ``out``, run from
+    DATA_DIR: relative input names, so the corpus label in the outputs does
+    not depend on the directory."""
+    return [
+        ["analyze", "fixture_corpus.jsonl", "--embeddings", "fixture_embeddings.jsonl",
+         "--out-dir", str(out)],
+        ["compare", str(out / "condition_samples.csv"), "--out-dir", str(out)],
+        ["report", str(out / "per_dialog.csv"), "--out-dir", str(out)],
+        ["fit", "fixture_corpus.jsonl", "--dump-rank-frequency", "--out-dir", str(out)],
+        ["behavior", "fixture_corpus.jsonl", "--out-dir", str(out)],
+    ]
 
 
 def ok(criterion: str, detail: str = ""):
@@ -178,25 +203,13 @@ def test_09_runner_integration(mock_service, tmp_path):
 def test_10_end_to_end_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(DATA_DIR)
     out = tmp_path / "golden_run"
-    assert main(["analyze", "fixture_corpus.jsonl",
-                 "--embeddings", "fixture_embeddings.jsonl",
-                 "--out-dir", str(out)]) == EXIT_OK
-    assert main(["compare", str(out / "condition_samples.csv"),
-                 "--out-dir", str(out)]) == EXIT_OK
-    assert main(["report", str(out / "per_dialog.csv"),
-                 "--out-dir", str(out)]) == EXIT_OK
-    assert main(["fit", "fixture_corpus.jsonl", "--dump-rank-frequency",
-                 "--out-dir", str(out)]) == EXIT_OK
-    assert main(["behavior", "fixture_corpus.jsonl", "--out-dir", str(out)]) == EXIT_OK
-
-    golden_files = ["report.json", "per_dialog.csv", "condition_samples.csv",
-                    "summary.csv", "compare.csv", "temporal.csv", "fit.csv",
-                    "rankfreq_fixture_corpus.csv", "behavior.csv"]
-    for name in golden_files:
+    for argv in golden_commands(out):
+        assert main(argv) == EXIT_OK, argv
+    for name in GOLDEN_FILES:
         fresh = (out / name).read_bytes()
         committed = (GOLDEN_DIR / name).read_bytes()
         assert fresh == committed, f"{name} differs from committed golden"
-    ok("10 end-to-end golden", f"{len(golden_files)} files byte-identical")
+    ok("10 end-to-end golden", f"{len(GOLDEN_FILES)} files byte-identical")
 
 
 def test_11_entropy_checks():
@@ -233,3 +246,14 @@ def test_12_temporal_report(tmp_path):
         "neutral,mC,0,0.9",
     ]
     ok("12 temporal report", "hand-computed per-index means reproduced")
+
+
+if __name__ == "__main__":
+    golden = GOLDEN_DIR.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(DATA_DIR)
+        for argv in golden_commands(Path(tmp)):
+            if main(argv) != EXIT_OK:
+                raise SystemExit(f"{argv[0]} failed")
+        for name in GOLDEN_FILES:
+            shutil.copyfile(Path(tmp) / name, golden / name)

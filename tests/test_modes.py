@@ -121,7 +121,8 @@ def final_assign_lloyd(points, centers):
     diff = np.empty_like(points)
 
     def assign(centers):
-        d2 = modes.cdist(centered, centers - mean, sq_norms)
+        shifted = centers - mean
+        d2 = modes.cdist(centered, shifted, sq_norms, np.einsum("ij,ij->i", shifted, shifted))
         labels = np.argmin(d2, axis=1)
         ties = d2 <= d2[rows, labels][:, None] + tol
         if np.count_nonzero(ties) > n:
@@ -214,7 +215,8 @@ def masked_mean_lloyd(points, centers):
     diff = np.empty_like(points)
 
     def assign(centers):
-        d2 = modes.cdist(centered, centers - mean, sq_norms)
+        shifted = centers - mean
+        d2 = modes.cdist(centered, shifted, sq_norms, np.einsum("ij,ij->i", shifted, shifted))
         labels = np.argmin(d2, axis=1)
         ties = d2 <= d2[rows, labels][:, None] + tol
         if np.count_nonzero(ties) > n:
@@ -387,7 +389,6 @@ class TestClusterModes:
         # as in np.unique, -0.0 equals 0.0: these rows are all one point
         calls = []
         monkeypatch.setattr(modes, "cdist", lambda *args: calls.append(args))
-        monkeypatch.setattr(modes, "_sq_dists", lambda *args: calls.append(args))
         same = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
         assignment = cluster_modes(same, k_max=5, seed=42)
         assert assignment.k == 1
@@ -423,6 +424,19 @@ class TestClusterModes:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             cluster_modes(np.ones((1, 2)), k_max=3)
+
+    @pytest.mark.parametrize("points,problem", [
+        pytest.param([[math.nan, 0.0], [1.0, 1.0], [2.0, 2.0]], "non-finite", id="nan"),
+        pytest.param([[math.inf, 0.0], [1.0, 1.0], [2.0, 2.0]], "non-finite", id="inf"),
+        pytest.param([[0.0, 0.0], [1.0, -math.inf], [2.0, 2.0]], "non-finite", id="minus_inf"),
+        pytest.param([0.0, 1.0, 2.0], r"2-D .* shape \(3,\)", id="1d"),
+        pytest.param(np.zeros((2, 3, 2)), r"2-D .* shape \(2, 3, 2\)", id="3d"),
+        pytest.param(np.zeros((3, 0)), r">= 1 column, got shape \(3, 0\)", id="no_columns"),
+    ])
+    def test_raw_array_is_checked(self, points, problem):
+        # an EmbeddingMatrix is checked when it is built; a plain array here
+        with pytest.raises(ValueError, match=problem):
+            cluster_modes(np.asarray(points), k_max=3)
 
 
 def labels_from_counts(counts) -> np.ndarray:
@@ -557,41 +571,45 @@ class TestSilhouette:
         assert np.array_equal(fast.labels, slow.labels)
 
     def test_distance_blocks_are_bounded(self, monkeypatch):
-        blocks, shapes = [], []
-        real_sq_dists, real_cdist = modes._sq_dists, modes.cdist
+        # every squared distance comes from the one cdist kernel: record each
+        # call's (points, centers) in call order
+        calls = []
+        real_cdist = modes.cdist
 
-        def counting_sq_dists(frame, idx):
-            blocks.append(np.asarray(idx).tolist())
-            return real_sq_dists(frame, idx)
+        def counting_cdist(xa, xb, *args):
+            calls.append((xa, xb))
+            return real_cdist(xa, xb, *args)
 
-        def counting_cdist(xa, xb, *args, **kwargs):
-            shapes.append((len(xa), len(xb)))
-            return real_cdist(xa, xb, *args, **kwargs)
-
-        monkeypatch.setattr(modes, "_sq_dists", counting_sq_dists)
         monkeypatch.setattr(modes, "cdist", counting_cdist)
         for _, points, k_max in blob_sets():
             n = len(points)
-            blocks.clear()
-            shapes.clear()
+            centered = modes._frame(points).centered
+            calls.clear()
             cluster_modes(points, k_max=k_max, seed=42)
             ks = range(2, min(k_max, len(np.unique(points + 0.0, axis=0))) + 1)
             # seeding: one block of every K's first seed, then one block per
             # draw step j of the seeds of the K's with k > j, so one row per
-            # seed of every K
+            # seed of every K, each to every row
             seeding = [len(ks)] + [sum(k > j for k in ks) for j in range(1, max(ks))]
-            assert [len(block) for block in blocks[:len(seeding)]] == seeding
             assert sum(seeding) == sum(ks)
-            # then every row once, in blocks of _BLOCK_ROWS rows
-            assert blocks[len(seeding):] == [list(range(lo, min(lo + modes._BLOCK_ROWS, n)))
-                                             for lo in range(0, n, modes._BLOCK_ROWS)]
-            # what is left on cdist is Lloyd's points-to-centroids distances
-            assert shapes and all(m == n and k <= k_max for m, k in shapes)
-        blocks.clear()
-        shapes.clear()
+            assert [len(xa) for xa, _ in calls[:len(seeding)]] == seeding
+            assert all(np.array_equal(xb, centered) for _, xb in calls[:len(seeding)])
+            # last, the silhouette pass: every row once, in blocks of
+            # _BLOCK_ROWS rows, each to every row
+            silhouette = [centered[lo:lo + modes._BLOCK_ROWS] for lo in range(0, n, modes._BLOCK_ROWS)]
+            tail = calls[len(calls) - len(silhouette):]
+            assert all(np.array_equal(xa, rows) and np.array_equal(xb, centered)
+                       for (xa, xb), rows in zip(tail, silhouette))
+            # in between, Lloyd's points-to-centroids distances: every row to
+            # the K centroids of each K in turn
+            lloyd = calls[len(seeding):len(calls) - len(silhouette)]
+            assert all(np.array_equal(xa, centered) for xa, _ in lloyd)
+            assert [len(xb) for _, xb in lloyd] == sorted(len(xb) for _, xb in lloyd)
+            assert {len(xb) for _, xb in lloyd} == set(ks)
+        calls.clear()
         assignment = cluster_modes(np.tile([1.0, 2.0], (12, 1)), k_max=5, seed=42)
         assert assignment.k == 1
-        assert blocks == [] and shapes == []
+        assert calls == []
 
 
 class TestMemory:
@@ -723,8 +741,9 @@ class TestLloyd:
             # centers on points give zero distances, which rounding can push below 0
             mean = points.mean(axis=0)
             centers = np.vstack([points[rng.integers(0, n, k)], rng.normal(size=(k, dim)) + mean])
-            centered = points - mean
-            d2 = modes.cdist(centered, centers - mean, np.einsum("ij,ij->i", centered, centered))
+            centered, shifted = points - mean, centers - mean
+            d2 = modes.cdist(centered, shifted, np.einsum("ij,ij->i", centered, centered),
+                             np.einsum("ij,ij->i", shifted, shifted))
             exact = cdist(points, centers, "sqeuclidean")
             assert (d2 >= 0.0).all()
             assert np.abs(d2 - exact).max() <= 1e-13 * exact.max(), trial

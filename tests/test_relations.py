@@ -1,11 +1,13 @@
 """End-to-end relations through ``cli.main`` that any correct implementation keeps.
 
 The goldens pin one fixture's bytes; these relations hold for any input:
-analyzing one condition alone gives that condition's sample, exact rescaling
-of the embeddings and reordering of the input lines change no output, the
-thread count changes no output, neither do the BLAS kernel and its thread
-count, and a planted Zipf effect is found in the planted direction.  Two
-CORE factors move the way they are documented to: a condition collapsed
+analyzing one condition alone gives that condition's sample, exact
+rescaling of the embeddings and reordering of the input lines change no
+output, the thread count changes no output, neither do the BLAS kernel and
+its thread count, and planted exponent effects are found in their
+directions: a steeper Zipf law, a larger vocabulary's higher Heaps
+exponent, and both at once, as the paper reports for cooperative dialogs.
+Two CORE factors move the way they are documented to: a condition collapsed
 onto one tight blob loses mode entropy and score, and a dialog that repeats
 its first turn's vector stagnates fully while orthogonal turns do not.
 """
@@ -99,21 +101,24 @@ def test_thread_count_changes_no_output(tmp_path, mock_service):
     assert len(service.calls) == 2 * -(-57 // 7)  # 57 utterances in batches of 7
 
 
-# Zipf exponents planted per condition: cooperative play is the steepest
-PLANTED_ALPHA = {"cooperative": 1.4, "neutral": 1.15, "competitive": 0.9}
+def compare_planted(tmp_path, plan, corpora, tokens, seed=0) -> dict[tuple[str, str], dict]:
+    """``compare.csv``'s rows, by (comparison, metric), for ``corpora``
+    corpora analyzed together.
 
-
-def test_planted_zipf_effect_is_found_in_its_direction(tmp_path):
-    rng = np.random.default_rng(0)
-    corpora = []
-    for c in range(8):
+    In each corpus, each condition of ``plan`` has 5 dialogs of 6 turns.
+    A turn is ``tokens`` tokens of ``synth_zipf_stream`` at that condition's
+    (alpha, vocabulary), with one stream seed per turn, and a random 16-dim
+    vector.  ``seed`` sets every draw."""
+    rng = np.random.default_rng(seed)
+    args, embedding_args = [], []
+    for c in range(corpora):
         corpus, embeddings = tmp_path / f"corpus{c}.jsonl", tmp_path / f"emb{c}.jsonl"
         dialogs, vectors = [], []
-        for condition, alpha in PLANTED_ALPHA.items():
+        for condition, (alpha, vocab) in plan.items():
             for d in range(5):
                 dialog_id = f"m1__m2__{condition}__{d}"
-                seed = 1000 * c + len(vectors)  # one stream per utterance
-                texts = [" ".join(synth_zipf_stream(alpha, 200, 20, seed=seed + t))
+                stream = 100_000 * seed + 1000 * c + len(vectors)  # one stream per utterance
+                texts = [" ".join(synth_zipf_stream(alpha, vocab, tokens, seed=stream + t))
                          for t in range(6)]
                 dialogs.append(dialog_jsonl_line(dialog_id, condition, texts) + "\n")
                 vectors += [json.dumps({"dialog_id": dialog_id, "turn_index": t,
@@ -121,22 +126,57 @@ def test_planted_zipf_effect_is_found_in_its_direction(tmp_path):
                             for t in range(6)]
         corpus.write_text("".join(dialogs))
         embeddings.write_text("".join(vectors))
-        corpora.append((corpus, embeddings))
-    args = [corpus for corpus, _ in corpora]
-    for _, embeddings in corpora:
-        args += ["--embeddings", embeddings]
-    analyze(tmp_path / "out", *args)
-    assert main(["compare", str(tmp_path / "out" / "condition_samples.csv"),
-                 "--out-dir", str(tmp_path / "out")]) == EXIT_OK
-    rows = {row["comparison"]: row for row in read_csv(tmp_path / "out" / "compare.csv")
-            if row["metric"] == "zipf_alpha"}
-    assert len(rows) == 3
+        args.append(corpus)
+        embedding_args += ["--embeddings", embeddings]
+    out = tmp_path / "out"
+    analyze(out, *args, *embedding_args)
+    assert main(["compare", str(out / "condition_samples.csv"), "--out-dir", str(out)]) == EXIT_OK
+    return {(row["comparison"], row["metric"]): row for row in read_csv(out / "compare.csv")}
+
+
+# Zipf exponents planted per condition: cooperative play is the steepest
+PLANTED_ALPHA = {"cooperative": 1.4, "neutral": 1.15, "competitive": 0.9}
+
+
+def test_planted_zipf_effect_is_found_in_its_direction(tmp_path):
+    rows = compare_planted(tmp_path, {c: (alpha, 200) for c, alpha in PLANTED_ALPHA.items()},
+                           corpora=8, tokens=20)
+    assert sum(metric == "zipf_alpha" for _, metric in rows) == 3
     for a, b in combinations(sorted(PLANTED_ALPHA), 2):
-        row = rows[f"{a}_vs_{b}"]
+        row = rows[f"{a}_vs_{b}", "zipf_alpha"]
         # every one of the 8 x 8 pairs is ordered as planted
         assert float(row["u"]) == (64 if PLANTED_ALPHA[a] > PLANTED_ALPHA[b] else 0)
         assert float(row["p_value"]) == pytest.approx(2 / comb(16, 8), rel=1e-5)
         assert row["method"] == "exact"
+
+
+def assert_cooperative_higher(rows, metric, corpora):
+    """Every corpus's cooperative sample is above every competitive one."""
+    row = rows["competitive_vs_cooperative", metric]
+    assert float(row["u"]) == 0, (metric, row)
+    assert float(row["p_value"]) == pytest.approx(2 / comb(2 * corpora, corpora), rel=1e-5)
+    assert row["method"] == "exact"
+
+
+def test_larger_vocabulary_is_found_with_the_higher_heaps_beta(tmp_path):
+    # one generating alpha, vocabularies 3,000 and 300: sized so that every
+    # seed of 0-19 separates the 6 x 6 samples by at least 0.09 in beta.
+    # The fitted alpha falls with the larger vocabulary, so only beta is read.
+    rows = compare_planted(tmp_path, {"cooperative": (1.0, 3000), "competitive": (1.0, 300)},
+                           corpora=6, tokens=40)
+    assert_cooperative_higher(rows, "heaps_beta", 6)
+
+
+def test_steeper_zipf_and_higher_heaps_are_both_found(tmp_path):
+    # the paper's finding: cooperative dialogs have the higher Zipf and the
+    # higher Heaps exponent.  (alpha 1.3, vocabulary 30,000) against (1.0,
+    # 1,000), 6,000 tokens per sample: every seed of 0-19 separates the 6 x 6
+    # samples by at least 0.16 in alpha and 0.08 in beta (0.001 in beta at
+    # 3,000 tokens)
+    rows = compare_planted(tmp_path, {"cooperative": (1.3, 30000), "competitive": (1.0, 1000)},
+                           corpora=6, tokens=200)
+    assert_cooperative_higher(rows, "zipf_alpha", 6)
+    assert_cooperative_higher(rows, "heaps_beta", 6)
 
 
 # the fixture condition whose embeddings collapse, and the spread of its
