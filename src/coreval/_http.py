@@ -1,18 +1,31 @@
 """JSON-over-HTTP POST with bounded retries and exponential backoff.
 
 A plain ``http://`` URL with no proxy configured, and no credentials in the
-URL, is sent over its own ``http.client`` connection, closed after the
-reply; ``requests`` sends every other URL (https, a proxy, credentials), so
+URL, is sent over an ``http.client`` connection; ``requests`` sends every
+other URL (https, a proxy, credentials), one connection per call, so
 certifi, proxies, ``NO_PROXY`` and ``~/.netrc`` keep working there.
 The proxy variables are read once per process, at its first request, so
 setting or clearing one later does not move a URL between the two paths.
+
+Inside a ``keep_alive()`` block, the direct requests a thread sends share one
+kept-alive connection per (host, port), closed when the block exits; every
+other direct request has a connection of its own, closed after its reply.
+``TCP_QUICKACK`` is set after each request is sent, where the platform has
+it (Linux), so the reply's segments are ACKed at once.  Elsewhere a server
+that writes its headers and its body in separate sends with Nagle on can
+stall each reused request by the client's delayed-ACK timer (about 40 ms);
+a server that sets ``TCP_NODELAY`` does not.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import functools
 import http.client
 import json
+import select
+import socket
 import threading
 import time
 from urllib.parse import urlsplit
@@ -30,6 +43,8 @@ class EndpointError(RuntimeError):
 
 # held around the first read, so threads whose first requests overlap read once
 _PROXIES_LOCK = threading.Lock()
+# .conns: the open keep_alive() block's connections, keyed by (host, port)
+_LOCAL = threading.local()
 
 
 @functools.cache
@@ -45,7 +60,10 @@ def _send(url: str, payload: dict, timeout: float):
 
     ``timeout`` bounds the connect and each read.  Raises ConnectionError when
     no complete reply arrives: the connect, the send or a read failed or timed
-    out, or the reply broke off.
+    out, or the reply broke off.  A direct request takes its connection from
+    this thread's ``keep_alive()`` block when one is open; a kept connection
+    found readable while idle is dropped, and one that fails is closed, so
+    the next request connects again.
     """
     parts = urlsplit(url)
     with _PROXIES_LOCK:
@@ -64,16 +82,69 @@ def _send(url: str, payload: dict, timeout: float):
     # the bytes requests sends for json=payload
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    key = parts.hostname, parts.port
+    conns = getattr(_LOCAL, "conns", None)
+    conn = None if conns is None else conns.get(key)
+    if conn is None:
+        conn = http.client.HTTPConnection(*key, timeout=timeout)
+        if conns is not None:
+            conns[key] = conn
+    elif conn.sock is not None:
+        if _readable(conn.sock):  # closed by the server, or bytes nobody asked for
+            conn.close()  # the request below connects again
+        else:
+            conn.sock.settimeout(timeout)
+    conn.timeout = timeout
+    reply = None
     try:
-        conn.request("POST", path, body, {"Content-Type": "application/json",
-                                          "Connection": "close"})
+        conn.request("POST", path, body, {"Content-Type": "application/json"})
+        _quick_ack(conn.sock)
         resp = conn.getresponse()
-        return resp.status, resp.headers, resp.read()
+        reply = resp.status, resp.headers, resp.read()
     except (OSError, http.client.HTTPException) as exc:
         raise ConnectionError(str(exc)) from exc
     finally:
-        conn.close()
+        if conns is None or reply is None:  # a failed connection is never reused
+            conn.close()
+    return reply
+
+
+@contextlib.contextmanager
+def keep_alive():
+    """Within the block, this thread's direct requests to one (host, port)
+    share one kept-alive connection; every one is closed when it exits."""
+    outer = getattr(_LOCAL, "conns", None)
+    conns = _LOCAL.conns = {}
+    try:
+        yield
+    finally:
+        _LOCAL.conns = outer
+        for conn in conns.values():
+            conn.close()
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has bytes or an EOF waiting (urllib3's
+    ``is_connection_dropped`` check)."""
+    if hasattr(select, "poll"):  # select() cannot take a descriptor above 1023
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _quick_ack(sock) -> None:
+    """ACK the reply's segments at once, not on the delayed-ACK timer.
+
+    Linux leaves quick-ACK mode whenever the socket sends, so this is set
+    after each request.  ENOPROTOOPT is ignored, as ``http.client`` ignores
+    it for ``TCP_NODELAY``."""
+    if hasattr(socket, "TCP_QUICKACK"):
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+        except OSError as exc:
+            if exc.errno != errno.ENOPROTOOPT:
+                raise
 
 
 def _retry_after_seconds(headers) -> float:

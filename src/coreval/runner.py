@@ -4,6 +4,9 @@ Agents A and B take strictly alternating turns (A opens).  Each turn POSTs
 the condition seed prompt plus the mapped history to the next agent's
 endpoint; completed dialogs are appended to the output JSONL in index
 order, so an interrupted run can resume by counting complete lines.
+A dialog's turns share one kept-alive connection per endpoint host and
+port (``_http.keep_alive``), closed when the dialog ends, so endpoints A and
+B share one when they are served from one host and port.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from ._http import EndpointError, post_json
+from ._http import EndpointError, keep_alive, post_json
 from .corpus import CONDITIONS
 
 logger = logging.getLogger(__name__)
@@ -118,23 +121,26 @@ def _chat_completion(endpoint: str, model: str, messages: list[dict],
 
 
 def _generate_one(config: GenerationConfig, index: int) -> tuple[dict, list[str]]:
-    """Generate one dialog; returns (dialog object, warning lines)."""
+    """Generate one dialog over its own connections; returns (dialog object,
+    warning lines)."""
     dialog_id = f"{config.model_a}__{config.model_b}__{config.condition}__{index}"
     history: list[tuple[str, str]] = []
     warnings: list[str] = []
     builder = build_concat_messages if config.concat_prompt else build_messages
-    for turn in range(config.turns):
-        agent = "A" if turn % 2 == 0 else "B"
-        endpoint = config.endpoint_a if agent == "A" else config.endpoint_b
-        model = config.model_a if agent == "A" else config.model_b
-        messages = builder(config.condition, history, agent)
-        text = _chat_completion(endpoint, model, messages, config).strip()
-        if not text:
+    with keep_alive():
+        for turn in range(config.turns):
+            agent = "A" if turn % 2 == 0 else "B"
+            endpoint = config.endpoint_a if agent == "A" else config.endpoint_b
+            model = config.model_a if agent == "A" else config.model_b
+            messages = builder(config.condition, history, agent)
             text = _chat_completion(endpoint, model, messages, config).strip()
-        if not text:
-            text = EMPTY_RESPONSE_PLACEHOLDER
-            warnings.append(f"dialog {dialog_id} turn {turn}: empty response, recorded as '...'")
-        history.append((agent, text))
+            if not text:
+                text = _chat_completion(endpoint, model, messages, config).strip()
+            if not text:
+                text = EMPTY_RESPONSE_PLACEHOLDER
+                warnings.append(f"dialog {dialog_id} turn {turn}: empty response, "
+                                f"recorded as '...'")
+            history.append((agent, text))
     obj = {
         "id": dialog_id,
         "condition": config.condition,

@@ -26,6 +26,14 @@ def short_backoff(monkeypatch):
     monkeypatch.setattr(_http, "BACKOFF_S", 0.01)
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Records each backoff wait of ``post_json`` instead of sleeping."""
+    recorded = []
+    monkeypatch.setattr(_http.time, "sleep", recorded.append)
+    return recorded
+
+
 @pytest.fixture(autouse=True)
 def no_proxy(monkeypatch):
     """No proxy in the environment, whatever the machine running the tests
@@ -109,14 +117,34 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
 
 class MockService:
     """Threaded local HTTP server; handler(path, payload) -> (status, body), where
-    a bytes body is sent as it is and any other body as its JSON encoding."""
+    a bytes body is sent as it is and any other body as its JSON encoding.
 
-    def __init__(self, handler):
+    It answers HTTP/1.0, closing each connection after one reply, or with
+    ``keep_alive=True`` HTTP/1.1, serving requests on a connection until the
+    client closes it.  ``connections`` counts the connections accepted and
+    ``closed`` those whose handler has finished."""
+
+    def __init__(self, handler, *, keep_alive: bool = False):
         self.calls: list[tuple[str, dict]] = []
-        self._lock = threading.Lock()
+        self.connections = 0
+        self.closed = 0
+        self._lock = threading.Condition()
         service = self
 
         class _Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def setup(self):
+                with service._lock:
+                    service.connections += 1
+                super().setup()
+
+            def finish(self):
+                super().finish()
+                with service._lock:
+                    service.closed += 1
+                    service._lock.notify_all()
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length) or b"{}")
@@ -140,6 +168,12 @@ class MockService:
         self.thread.start()
         self.url = f"http://127.0.0.1:{self.server.server_port}"
 
+    def wait_all_closed(self, timeout: float = 5.0) -> bool:
+        """Wait until every accepted connection's handler has finished, which
+        for a kept-alive connection means the client closed it."""
+        with self._lock:
+            return self._lock.wait_for(lambda: self.closed == self.connections, timeout)
+
     def close(self):
         self.server.shutdown()
         self.server.server_close()
@@ -149,8 +183,8 @@ class MockService:
 def mock_service():
     services = []
 
-    def factory(handler) -> MockService:
-        service = MockService(handler)
+    def factory(handler, *, keep_alive: bool = False) -> MockService:
+        service = MockService(handler, keep_alive=keep_alive)
         services.append(service)
         return service
 

@@ -108,13 +108,6 @@ def test_reply_that_is_not_an_object_fails_at_once(scripted, body):
 
 
 @pytest.fixture
-def sleeps(monkeypatch):
-    recorded = []
-    monkeypatch.setattr(_http.time, "sleep", recorded.append)
-    return recorded
-
-
-@pytest.fixture
 def requests_post(monkeypatch):
     """requests.post replaced by a recorder answering 200 {"ok": true}."""
     calls = []
@@ -329,3 +322,130 @@ def test_url_without_host_fails_at_once(sleeps):
     with pytest.raises(ValueError, match="no host"):
         post_json("http:///v1", {})
     assert sleeps == []
+
+
+# --- kept-alive connections: one per (host, port) inside a keep_alive() block ---
+
+
+OK_1_1 = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+CUT_1_1 = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+           b"Content-Length: 100\r\n\r\n{\"a\": 1")
+
+
+@pytest.fixture
+def script_server():
+    """A local HTTP/1.1 socket server that serves requests in turn, over as
+    many requests per connection as the client sends, answering the i-th
+    request with ``replies[i] = (bytes, close)`` and closing that connection
+    after it when ``close`` is true, with no ``Connection: close`` header.
+    A ``None`` reply sends nothing and holds the connection until the client
+    closes it.  Returns (url, accepted addresses, a semaphore released at each close the
+    server makes)."""
+    stop = threading.Event()
+    threads = []
+
+    def start(replies: list[tuple[bytes | None, bool]]):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.01)  # poll, so the fixture can stop the thread
+        accepted = []
+        closes = threading.Semaphore(0)
+        answers = iter(replies)
+
+        def serve():
+            with listener:
+                while not stop.is_set():
+                    try:
+                        conn, addr = listener.accept()
+                    except TimeoutError:
+                        continue
+                    accepted.append(addr)
+                    with conn, conn.makefile("rb") as request:
+                        while request.readline():  # a request line, not the client's EOF
+                            request.read(int(http.client.parse_headers(request)["Content-Length"]))
+                            answer, close = next(answers)
+                            if answer is None:
+                                conn.recv(1)
+                                break
+                            conn.sendall(answer)
+                            if close:
+                                break
+                    closes.release()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return f"http://127.0.0.1:{listener.getsockname()[1]}/", accepted, closes
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=5)
+
+
+def test_post_outside_keep_alive_has_a_connection_of_its_own(mock_service):
+    service = mock_service(lambda path, payload: (200, {}), keep_alive=True)
+    for i in range(3):
+        assert post_json(f"{service.url}/{i}", {}) == {}
+    assert service.connections == 3
+    assert service.wait_all_closed()  # the client closed every one
+
+
+def test_keep_alive_reuses_one_connection_and_closes_it(mock_service):
+    service = mock_service(lambda path, payload: (200, {}), keep_alive=True)
+    with _http.keep_alive():
+        for i in range(5):
+            assert post_json(f"{service.url}/{i}", {}) == {}
+        assert not service.wait_all_closed(timeout=0.05)  # held open inside the block
+    assert service.connections == 1
+    assert service.wait_all_closed()
+
+
+def test_keep_alive_blocks_nest_with_connections_of_their_own(mock_service):
+    service = mock_service(lambda path, payload: (200, {}), keep_alive=True)
+    with _http.keep_alive():
+        post_json(service.url, {})
+        with _http.keep_alive():
+            post_json(service.url, {})
+            post_json(service.url, {})
+        post_json(service.url, {})
+    assert service.connections == 2
+    assert service.wait_all_closed()
+
+
+def test_server_closing_after_each_reply_costs_no_retry(script_server, sleeps):
+    # HTTP/1.1 framing with no "Connection: close", so the client keeps the
+    # socket; the server's EOF is waiting on it before the next post
+    url, accepted, closes = script_server([(OK_1_1, True)] * 4)
+    with _http.keep_alive():
+        for _ in range(4):
+            assert post_json(url, {}) == {}
+            assert closes.acquire(timeout=5)
+    assert len(accepted) == 4
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("cut,fails", [(1, False), (3, True)])
+def test_reply_cut_short_on_a_kept_connection_is_retried_on_a_new_one(
+        script_server, sleeps, cut, fails):
+    # the second post's first `cut` attempts are cut short, each closing its connection
+    url, accepted, _ = script_server([(OK_1_1, False)] + [(CUT_1_1, True)] * cut
+                                     + [(OK_1_1, False)])
+    with _http.keep_alive():
+        assert post_json(url, {}) == {}
+        if fails:
+            with pytest.raises(EndpointError, match="IncompleteRead"):
+                post_json(url, {})
+        else:
+            assert post_json(url, {}) == {}
+    assert len(accepted) == cut + 1 - fails  # the first cut attempt reused the first
+    assert len(sleeps) == cut - fails  # the budget of 3 attempts per post
+
+
+def test_read_timeout_on_a_kept_connection_is_retried_on_a_new_one(script_server, sleeps):
+    # the timed-out connection still awaits its reply, so it must not be reused
+    url, accepted, _ = script_server([(OK_1_1, False), (None, True), (OK_1_1, False)])
+    with _http.keep_alive():
+        assert post_json(url, {}) == {}
+        assert post_json(url, {}, timeout=0.2) == {}
+    assert len(accepted) == 2
+    assert len(sleeps) == 1

@@ -2,14 +2,17 @@
 
 import json
 import math
+import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from coreval import runner
 from coreval._http import EndpointError
+from coreval.cli import EXIT_OK, main
 from coreval.corpus import parse_corpus
 from coreval.runner import (
     SEED_PROMPTS, GenerationConfig, build_concat_messages, build_messages,
@@ -244,3 +247,112 @@ class TestGenerateDialogs:
             with pytest.raises(ValueError, match="must be >= 1"):
                 GenerationConfig(endpoint_a="x", endpoint_b="x", model_a="m", model_b="m",
                                  condition="neutral", **{field: 0})
+
+
+class TestConnections:
+    """A dialog's turns share one kept-alive connection per endpoint host and
+    port, closed when the dialog ends."""
+
+    def test_one_connection_per_dialog_when_a_and_b_share_a_server(self, mock_service,
+                                                                   tmp_path, sleeps):
+        service = mock_service(echo_chat_handler, keep_alive=True)
+        result = generate_dialogs(quick_config(service.url, dialogs=1, turns=10),
+                                  tmp_path / "d.jsonl")
+        assert (result.completed, result.failed) == (1, 0)
+        assert len(service.calls) == 10
+        assert service.connections == 1
+        assert service.wait_all_closed()
+        assert sleeps == []
+
+    def test_one_connection_per_server_when_a_and_b_differ(self, mock_service, tmp_path):
+        a = mock_service(echo_chat_handler, keep_alive=True)
+        b = mock_service(echo_chat_handler, keep_alive=True)
+        generate_dialogs(quick_config(a.url, endpoint_b=b.url, dialogs=1, turns=10),
+                         tmp_path / "d.jsonl")
+        assert (len(a.calls), len(b.calls)) == (5, 5)
+        assert (a.connections, b.connections) == (1, 1)
+        assert a.wait_all_closed() and b.wait_all_closed()
+
+    def test_empty_reply_is_resent_on_the_same_connection(self, mock_service, tmp_path):
+        def empty_responder(path, payload):
+            return 200, {"choices": [{"message": {"content": ""}}]}
+
+        service = mock_service(empty_responder, keep_alive=True)
+        generate_dialogs(quick_config(service.url, dialogs=1, turns=3), tmp_path / "d.jsonl")
+        assert len(service.calls) == 6
+        assert service.connections == 1
+
+    def test_http_1_0_server_serves_every_turn_without_retries(self, mock_service,
+                                                                tmp_path, sleeps):
+        service = mock_service(echo_chat_handler)  # closes after each reply
+        out = tmp_path / "d.jsonl"
+        result = generate_dialogs(quick_config(service.url, dialogs=1, turns=10), out)
+        assert (result.completed, result.failed) == (1, 0)
+        assert len(json.loads(out.read_text())["turns"]) == 10
+        assert service.connections == 10
+        assert sleeps == []
+
+    def test_dialog_that_fails_partway_closes_its_connection(self, mock_service, tmp_path):
+        def fail_at_third_turn(path, payload):
+            if len(payload["messages"]) == 3:  # the system prompt and two turns
+                return 404, {"error": "gone"}
+            return echo_chat_handler(path, payload)
+
+        service = mock_service(fail_at_third_turn, keep_alive=True)
+        result = generate_dialogs(quick_config(service.url, dialogs=1, turns=10),
+                                  tmp_path / "d.jsonl")
+        assert (result.completed, result.failed) == (0, 1)
+        assert len(service.calls) == 3
+        assert service.connections == 1
+        assert service.wait_all_closed()  # the server read the client's EOF
+
+    def test_thread_count_changes_no_byte_and_shares_no_connection(self, mock_service,
+                                                                   tmp_path):
+        outputs = []
+        for threads in (1, 4):
+            service = mock_service(echo_chat_handler, keep_alive=True)
+            out = tmp_path / f"threads{threads}.jsonl"
+            assert main(["generate", "--endpoint-a", service.url, "--endpoint-b", service.url,
+                         "--model-a", "mA", "--model-b", "mB", "--condition", "neutral",
+                         "--dialogs", "8", "--turns", "5", "--threads", str(threads),
+                         "--out", str(out)]) == EXIT_OK
+            assert len(service.calls) == 8 * 5
+            assert service.connections == 8  # one per dialog, on either thread count
+            assert service.wait_all_closed()
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                        reason="the platform has no TCP_QUICKACK")
+    def test_headers_and_body_in_two_sends_do_not_stall_a_kept_connection(self, tmp_path):
+        # With Nagle on (the stdlib server's default), the body waits until the
+        # client ACKs the headers; a client on its delayed-ACK timer would add
+        # about 40 ms to every request after the first on the connection
+        class TwoSends(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                body = json.dumps(echo_chat_handler(self.path, payload)[1]).encode()
+                self.connection.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                                        b"\r\nContent-Length: %d\r\n\r\n" % len(body))
+                self.connection.sendall(body)
+
+            def log_message(self, *args):
+                pass
+
+        with ThreadingHTTPServer(("127.0.0.1", 0), TwoSends) as server:
+            assert not TwoSends.disable_nagle_algorithm
+            thread = threading.Thread(target=server.serve_forever,
+                                      kwargs={"poll_interval": 0.01}, daemon=True)
+            thread.start()
+            try:
+                start = time.perf_counter()
+                result = generate_dialogs(
+                    quick_config(f"http://127.0.0.1:{server.server_port}", dialogs=1,
+                                 turns=20), tmp_path / "d.jsonl")
+                elapsed = time.perf_counter() - start
+            finally:
+                server.shutdown()
+        assert (result.completed, result.failed) == (1, 0)
+        assert elapsed < 0.4  # 20 stalled turns would take 0.8 s or more
